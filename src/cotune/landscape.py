@@ -12,6 +12,9 @@ import csv
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .requirement import Proposition
 
@@ -92,6 +95,12 @@ class Landscape:
     def performance_values(self):
         return list(self.measurements.values())
 
+    @cached_property
+    def performance_array(self) -> np.ndarray:
+        """Every measured value as float64, built once for bulk scoring."""
+        return np.fromiter(self.measurements.values(), dtype=np.float64,
+                           count=len(self.measurements))
+
     def random_config(self, rng: random.Random) -> Configuration:
         return tuple(rng.randrange(len(opt.domain)) for opt in self.options)
 
@@ -141,8 +150,8 @@ def satisfiability_fraction(landscape: Landscape, prop: Proposition) -> float:
         raise LandscapeError(
             "satisfiability fraction needs an exhaustively measured landscape"
         )
-    hits = sum(1 for v in landscape.measurements.values() if prop.evaluate(v) > 0)
-    return hits / len(landscape.measurements)
+    scores = prop.evaluate_many(landscape.performance_array)
+    return int(np.count_nonzero(scores > 0)) / len(landscape.measurements)
 
 
 def _parse_cell(cell: str):

@@ -125,8 +125,16 @@ def generate_target(landscape: Landscape, d: float, spec: GenSpec,
     span = v_max - v_min
 
     def achieved(onset):
-        return satisfiability_fraction(
-            landscape, _build(pattern, v_min, v_max, onset, ratios, scores))
+        prop = _build(pattern, v_min, v_max, onset, ratios, scores)
+        try:
+            return satisfiability_fraction(landscape, prop)
+        except ZeroDivisionError as exc:
+            # the onset came so close to v_min that shaped fragments
+            # collapsed to zero width, and scoring one divides by zero
+            raise CalibrationError(
+                f"{landscape.name}: cannot realize d={d}: at onset {onset!r} "
+                "the shaped fragments collapse to zero width (more than a "
+                "fraction d of the space may share the best value)") from exc
 
     if abs(1.0 - d) <= tolerance:
         prop = _build(pattern, v_min, v_max, v_max - 1e-9 * span, ratios,

@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 KINDS = ("G", "S", "E")
 
@@ -46,11 +49,19 @@ class Fragment:
         """Membership value at v; v is assumed inside [v_lo, v_hi]."""
         if self.kind == "E":
             return self.s_lo
+        slope, intercept = self.line()
+        return slope * v + intercept
+
+    def line(self) -> tuple[float, float]:
+        """(slope, intercept) of a G or S fragment's membership function.
+
+        Raises ZeroDivisionError on a zero-width fragment.
+        """
         slope = (self.s_lo - self.s_hi) / (self.v_lo - self.v_hi)
         intercept = (self.s_hi * self.v_lo - self.s_lo * self.v_hi) / (
             self.v_lo - self.v_hi
         )
-        return slope * v + intercept
+        return slope, intercept
 
     def area(self) -> float:
         """Exact area under the membership function over [v_lo, v_hi]."""
@@ -76,6 +87,28 @@ class Proposition:
             raise PropositionError("proposition needs at least one fragment")
         object.__setattr__(self, "fragments", tuple(self.fragments))
 
+    @cached_property
+    def _scoring(self) -> tuple:
+        """(v_min, v_max, right edges, lines), computed on first scoring.
+
+        The lines hold, per fragment, the (slope, intercept) that
+        Fragment.score computes. The slope is None for an E fragment, whose
+        intercept is then its constant score. A zero-width G or S fragment
+        has no line (None): scoring it goes through Fragment.score, which
+        divides by zero as it always has, and validate reports it. A
+        proposition that is only validated or encoded never builds these.
+        """
+        lines = []
+        for f in self.fragments:
+            if f.kind == "E":
+                lines.append((None, f.s_lo))
+            elif f.v_lo == f.v_hi:
+                lines.append(None)
+            else:
+                lines.append(f.line())
+        bounds = tuple(f.v_hi for f in self.fragments)
+        return self.v_min, self.v_max, bounds, tuple(lines)
+
     @property
     def v_min(self) -> float:
         return self.fragments[0].v_lo
@@ -91,13 +124,47 @@ class Proposition:
         boundary point shared by two fragments the left fragment's value
         applies.
         """
-        if v <= self.v_min:
-            return self.fragments[0].score(self.fragments[0].v_lo)
-        if v >= self.v_max:
-            return self.fragments[-1].score(self.v_max)
-        # first fragment whose right edge reaches v: v in (v_lo, v_hi]
-        idx = bisect_left([f.v_hi for f in self.fragments], v)
-        return self.fragments[idx].score(v)
+        v_min, v_max, bounds, lines = self._scoring
+        if v <= v_min:
+            idx, v = 0, v_min
+        elif v >= v_max:
+            idx, v = -1, v_max
+        else:
+            # first fragment whose right edge reaches v: v in (v_lo, v_hi]
+            idx = bisect_left(bounds, v)
+        line = lines[idx]
+        if line is None:
+            return self.fragments[idx].score(v)
+        slope, intercept = line
+        return intercept if slope is None else slope * v + intercept
+
+    def evaluate_many(self, values) -> np.ndarray:
+        """Satisfaction scores of a 1-D sequence of values, as float64.
+
+        Equal bit for bit to ``[self.evaluate(v) for v in values]``: the
+        same clamping, the same fragment choice (searchsorted with
+        side="left" is bisect_left) and the same multiply-then-add on the
+        same cached lines, one array operation each.
+        """
+        v_min, v_max, bounds, lines = self._scoring
+        if None in lines:
+            # a zero-width G or S fragment: score value by value, so that
+            # scoring it divides by zero exactly where evaluate does
+            return np.array([self.evaluate(v) for v in values], dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        low = values <= v_min
+        high = (values >= v_max) & ~low
+        idx = np.searchsorted(bounds, values, side="left")
+        idx[low] = 0
+        idx[high] = len(lines) - 1
+        v = np.where(low, v_min, np.where(high, v_max, values))
+        constant = np.array([slope is None for slope, _ in lines])
+        slopes = np.array([0.0 if slope is None else slope for slope, _ in lines],
+                          dtype=np.float64)
+        intercepts = np.array([intercept for _, intercept in lines],
+                              dtype=np.float64)
+        at = intercepts[idx]
+        return np.where(constant[idx], at, slopes[idx] * v + at)
 
     def integral(self) -> float:
         """Closed-form area under p(v) over [v_min, v_max]."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from . import reqevolve
 from .entropy import MIN_ENTROPY, differential_entropy
@@ -144,16 +145,23 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
 
     result = TunerResult(label, None, float("-inf"))
 
-    def best_candidates():
-        if params.best_from == "history":
-            return meter.cache.items()
-        return [(m.config, m.perf) for m in pop_t + pop_a]
+    best_seen = None  # (config, score): the first best of the history
+    scanned = 0  # meter.cache entries already scored into best_seen
 
     def current_best():
-        return max(
-            ((c, p_t.evaluate(v)) for c, v in best_candidates()),
-            key=lambda cv: cv[1],
-        )
+        nonlocal best_seen, scanned
+        if params.best_from != "history":
+            return max(((m.config, p_t.evaluate(m.perf)) for m in pop_t + pop_a),
+                       key=lambda cv: cv[1])
+        # p_t never changes, so only configurations measured since the last
+        # call need scoring; a tie keeps the earlier one, as max over the
+        # whole cache in measurement order would
+        for config, perf in islice(meter.cache.items(), scanned, None):
+            score = p_t.evaluate(perf)
+            if best_seen is None or score > best_seen[1]:
+                best_seen = (config, score)
+        scanned = len(meter.cache)
+        return best_seen
 
     best_config, best_score = current_best()
     result.best_config, result.best_score = best_config, best_score

@@ -1,10 +1,12 @@
 """Tests for landscape loading, budget metering and synthetic generators."""
 
+import math
 import random
 
 import pytest
 
 from cotune.landscape import (
+    SHAPES,
     BudgetExhausted,
     BudgetMeter,
     Landscape,
@@ -99,6 +101,35 @@ class TestSatisfiabilityFraction:
         ))
         # values 0 and 1 score > 0; 2..5 score 0
         assert satisfiability_fraction(land, prop) == pytest.approx(2 / 6)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_the_per_value_count(self, shape):
+        # plateau spaces tie 60% of their configurations at v_min
+        land = synth(seed=4, n_options=9, domain_sizes=2, shape=shape)
+        lo, hi = land.v_min, land.v_max
+        values = sorted(land.measurements.values())
+        rng = random.Random(3)
+        onsets = [math.nextafter(lo, math.inf), values[1], values[40],
+                  values[len(values) // 2], values[-2]]
+        onsets += [rng.uniform(lo, hi) for _ in range(20)]
+        props = [
+            Proposition((Fragment("E", lo, hi, 0.0, 0.0),)),
+            Proposition((Fragment("S", lo, hi, 1.0, 0.0),)),
+            Proposition((Fragment("S", lo, hi, 1.0, 0.2),)),
+        ]
+        for onset in (o for o in onsets if lo < o < hi):
+            props.append(Proposition((
+                Fragment("S", lo, onset, 1.0, 0.0),
+                Fragment("E", onset, hi, 0.0, 0.0),
+            )))
+            props.append(Proposition((
+                Fragment("E", lo, onset, 0.4, 0.4),
+                Fragment("S", onset, hi, 0.4, 0.0),
+            )))
+        for prop in props:
+            hits = sum(1 for v in land.measurements.values()
+                       if prop.evaluate(v) > 0)
+            assert satisfiability_fraction(land, prop) == hits / len(values)
 
     def test_requires_exhaustive(self):
         land = Landscape([OptionSpec("a", (0, 1))], {(0,): 1.0})

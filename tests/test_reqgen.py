@@ -96,6 +96,21 @@ class TestGenerateTarget:
         with pytest.raises(CalibrationError):
             generate_target(land, 0.001, GenSpec(), random.Random(0))
 
+    def test_top_of_an_s_fragment_scores_as_before(self):
+        # Fragment.score goes through a slope and an intercept, so the top
+        # of this type-2 target scores just below 1 on both scoring paths
+        land = synth(seed=7, n_options=12, domain_sizes=2, shape="rugged")
+        prop = generate_target(land, 0.01, GenSpec(), random.Random(42), 1)
+        assert prop.evaluate(land.v_min) == 0.9999999999999982
+        assert prop.evaluate_many([land.v_min])[0] == 0.9999999999999982
+
+    def test_collapsed_shaped_fragments_raise_calibration_error(self):
+        # 60% of a plateau space ties at v_min, so the bisection drives the
+        # onset onto v_min until the shaped fragments have zero width
+        land = synth(seed=8, n_options=10, domain_sizes=2, shape="plateau")
+        with pytest.raises(CalibrationError, match="zero width"):
+            generate_target(land, 0.5, GenSpec(), random.Random(1), 1)
+
 
 class TestGenerateSuite:
     def test_full_cross_product(self, tmp_path):

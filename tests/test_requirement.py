@@ -3,7 +3,9 @@
 import json
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,88 @@ class TestEvaluate:
         for _ in range(200):
             v = rng.uniform(prop.v_min - 1, prop.v_max + 1)
             assert 0.0 <= prop.evaluate(v) <= 1.0
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_bitwise_equal(many, scalar):
+    assert many.dtype == np.float64
+    assert many.tobytes() == np.array(scalar, dtype=np.float64).tobytes()
+
+
+def probe_values(prop, rng):
+    """Every fragment boundary and its float neighbours, clamped values
+    below v_min and above v_max, a grid spanning the range and random
+    draws around it."""
+    edges = [prop.v_min] + [f.v_hi for f in prop.fragments]
+    span = prop.v_max - prop.v_min
+    return (
+        edges
+        + [math.nextafter(e, math.inf) for e in edges]
+        + [math.nextafter(e, -math.inf) for e in edges]
+        + [-math.inf, prop.v_min - 1.0, prop.v_max + 1.0, math.inf]
+        + [prop.v_min + span * i / 256 for i in range(257)]
+        + [rng.uniform(prop.v_min - 5.0, prop.v_max + 5.0) for _ in range(50)]
+    )
+
+
+class TestEvaluateMany:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_equals_scalar_evaluate(self, seed):
+        rng = random.Random(seed)
+        prop = random_valid_proposition(rng)
+        values = probe_values(prop, rng)
+        assert_bitwise_equal(prop.evaluate_many(values),
+                             [prop.evaluate(v) for v in values])
+
+    def test_accepts_an_array_and_an_empty_input(self):
+        values = np.linspace(-1.0, 9.0, 41)
+        assert_bitwise_equal(EXAMPLE.evaluate_many(values),
+                             [EXAMPLE.evaluate(v) for v in values])
+        assert EXAMPLE.evaluate_many([]).shape == (0,)
+
+    def test_scalar_evaluate_is_fragment_score(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            prop = random_valid_proposition(rng)
+            first, last = prop.fragments[0], prop.fragments[-1]
+            for v in probe_values(prop, rng):
+                if v <= prop.v_min:
+                    expected = first.score(first.v_lo)
+                elif v >= prop.v_max:
+                    expected = last.score(prop.v_max)
+                else:
+                    owner = next(f for f in prop.fragments if v <= f.v_hi)
+                    expected = owner.score(v)
+                assert bits(prop.evaluate(v)) == bits(expected)
+
+    def test_zero_width_interior_fragment_scores_on_both_paths(self):
+        prop = Proposition((
+            Fragment("E", 0.0, 1.0, 1.0, 1.0),
+            Fragment("S", 1.0, 1.0, 1.0, 0.8),
+            Fragment("S", 1.0, 3.0, 0.8, 0.0),
+        ))
+        assert any("zero-width" in v for v in validate(prop))
+        values = [-1.0, 0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.0, 3.0, 4.0]
+        scalar = [prop.evaluate(v) for v in values]
+        assert_bitwise_equal(prop.evaluate_many(values), scalar)
+
+    def test_zero_width_end_fragment_divides_on_both_paths(self):
+        # clamped values score the first fragment at v_min, where a
+        # zero-width line divides by zero; interior values do not reach it
+        prop = Proposition((
+            Fragment("S", 0.0, 0.0, 1.0, 0.5),
+            Fragment("E", 0.0, 2.0, 0.5, 0.5),
+        ))
+        with pytest.raises(ZeroDivisionError):
+            prop.evaluate(-1.0)
+        with pytest.raises(ZeroDivisionError):
+            prop.evaluate_many([1.0, -1.0])
+        assert_bitwise_equal(prop.evaluate_many([1.0, 2.0, 3.0]),
+                             [0.5, 0.5, 0.5])
 
 
 class TestIntegral:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cotune import reqevolve
 from cotune.entropy import MIN_ENTROPY, differential_entropy
-from cotune.landscape import synth
+from cotune.landscape import BudgetMeter, synth
 from cotune.reqgen import GenSpec, generate_target
 from cotune.requirement import Fragment, Proposition
 from cotune.tuners import (
@@ -117,6 +117,23 @@ class TestCotuneRun:
                        TunerParams(early_stop=False, best_from="populations"),
                        seed=3)
         assert 0.0 <= r.best_score <= 1.0
+
+    def test_best_is_the_first_best_of_the_history(self):
+        # about 6 of the 64 configurations tie at score 1; the reported best
+        # is the earliest measured of the best, and every trajectory row
+        # holds the best over the configurations measured by then
+        land = small_landscape()
+        p_t = strict_proposition(land)
+        for seed in range(8):
+            meter = BudgetMeter(300)
+            r = cotune_run(land, p_t, TunerParams(early_stop=False), seed,
+                           meter=meter)
+            history = [(c, p_t.evaluate(v)) for c, v in meter.cache.items()]
+            assert (r.best_config, r.best_score) == max(
+                history, key=lambda cv: cv[1])
+            for row in r.trajectory:
+                assert row.best_pt_score == max(
+                    score for _, score in history[:row.budget_used])
 
     def test_forced_guidance_after_change(self):
         land = synth(seed=8, n_options=10, domain_sizes=2, shape="rugged")
