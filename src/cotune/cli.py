@@ -8,8 +8,6 @@ Subcommands: ``run`` (execute an experiment sweep from a JSON config),
 from __future__ import annotations
 
 import argparse
-import csv
-import statistics
 import sys
 from pathlib import Path
 
@@ -49,31 +47,15 @@ def _cmd_gen_reqs(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    results = Path(args.results)
-    summary = results / "summary.csv"
-    if not summary.exists():
-        print(f"no summary.csv under {results}", file=sys.stderr)
+    try:
+        cells = harness.rank_results(args.results, test=args.test)
+    except harness.HarnessError as exc:
+        print(exc, file=sys.stderr)
         return 1
-    # rebuild per-cell samples from the stored trajectories and re-rank
-    cells = {}
-    for path in sorted(results.glob("*/*/*/seed*.csv")):
-        tuner = path.parent.name
-        cell = (path.parts[-4], path.parts[-3])
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        if rows:
-            cells.setdefault(cell, {}).setdefault(tuner, []).append(
-                float(rows[-1]["best_pt_score"]))
-    for cell in sorted(cells):
-        samples = {t: s for t, s in cells[cell].items() if len(s) >= 2}
-        if len(samples) < 2:
-            continue
-        rank_of = harness.ranks(samples, test=args.test)
-        print(f"{cell[0]} / {cell[1]}:")
-        for tuner in sorted(samples, key=lambda t: rank_of[t]):
-            mean = statistics.fmean(samples[tuner])
-            std = statistics.pstdev(samples[tuner])
-            print(f"  {tuner}: {mean:.4f} +/- {std:.4f} (rank {rank_of[tuner]})")
+    for (land, req), rows in cells:
+        print(f"{land} / {req}:")
+        for tuner, mean, std, rank in rows:
+            print(f"  {tuner}: {mean:.4f} +/- {std:.4f} (rank {rank})")
     return 0
 
 

@@ -90,12 +90,3 @@ def differential_entropy(sample, grid_points: int = GRID_POINTS) -> float:
     # 0 * log 0 := 0
     integrand = np.where(beta > 0.0, -beta * np.log(np.where(beta > 0, beta, 1.0)), 0.0)
     return float(np.trapezoid(integrand, est.grid))
-
-
-def discriminative_compare(sample_a, sample_b, tol: float = 1e-9) -> int:
-    """Which sample a proposition discriminates more: 1 if a, -1 if b, 0 if tied."""
-    h_a = differential_entropy(sample_a)
-    h_b = differential_entropy(sample_b)
-    if h_a == h_b or abs(h_a - h_b) <= tol:
-        return 0
-    return 1 if h_a > h_b else -1

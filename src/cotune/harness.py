@@ -3,7 +3,8 @@
 A sweep is landscapes x requirements x tuners x seeds. Each run writes one
 trajectory CSV under ``<out>/<landscape>/<req>/<tuner>/seed<k>.csv``; the
 sweep writes ``summary.csv`` (mean, std and rank per cell and tuner) plus
-``manifest.json`` with the resolved configuration and failure log.
+``manifest.json`` with the resolved configuration, the runs it wrote and the
+failure log; ``read_trajectories`` reads back the runs that it lists.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from . import landscape as landscape_mod
 from . import reqgen, tuners
 from .requirement import Proposition
 
-TUNER_KINDS = ("cotune", "ga_p", "ga_r", "random")
-
 TRAJECTORY_COLUMNS = (
     "iteration", "budget_used", "best_pt_score",
     "guiding_proposition", "case_fired", "theta", "entropy_pa",
@@ -41,14 +40,11 @@ class TunerSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.kind:
-            self.kind = {
-                "CoTune": "cotune", "GA_p": "ga_p",
-                "GA_r": "ga_r", "Random": "random",
-            }.get(self.name, "")
-        if self.kind not in TUNER_KINDS:
-            raise HarnessError(
-                f"tuner {self.name!r}: kind must be one of {TUNER_KINDS}")
+        kind_of = {label: k for k, (label, *_) in tuners.TUNER_KINDS.items()}
+        self.kind = self.kind or kind_of.get(self.name, "")
+        if self.kind not in tuners.TUNER_KINDS:
+            raise HarnessError(f"tuner {self.name!r}: kind must be one of "
+                               f"{tuple(tuners.TUNER_KINDS)}")
 
 
 @dataclass
@@ -131,22 +127,8 @@ def _resolve_requirements(entries, land):
     return out
 
 
-def _run_one(land, prop, spec: TunerSpec, seed: int, early_stop: bool):
-    params = tuners.TunerParams(early_stop=early_stop, **spec.params)
-    if spec.kind == "cotune":
-        return tuners.cotune_run(land, prop, params, seed, label=spec.name)
-    if spec.kind == "ga_p":
-        result = tuners.ga_run(land, prop, params, seed, objective="satisfaction")
-        result.tuner = spec.name
-        return result
-    if spec.kind == "ga_r":
-        result = tuners.ga_run(land, prop, params, seed, objective="raw")
-        result.tuner = spec.name
-        return result
-    result = tuners.random_run(
-        land, prop, params.budget, seed, early_stop=early_stop)
-    result.tuner = spec.name
-    return result
+def _trajectory_path(out: Path, landscape, requirement, tuner, seed) -> Path:
+    return out / landscape / requirement / tuner / f"seed{seed}.csv"
 
 
 def _write_trajectory(path: Path, result) -> None:
@@ -171,6 +153,7 @@ def run_experiment(config: ExperimentConfig):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = []
+    written = []  # the runs whose trajectories this sweep wrote
     cells = {}  # (landscape, req) -> {tuner: [best scores]}
 
     work = []
@@ -192,9 +175,11 @@ def run_experiment(config: ExperimentConfig):
 
     def execute(item):
         land, req_name, prop, spec, k = item
-        seed = config.seed_base + k
         try:
-            result = _run_one(land, prop, spec, seed, config.early_stop)
+            params = tuners.TunerParams(early_stop=config.early_stop,
+                                        **spec.params)
+            result = tuners.run_tuner(spec.kind, land, prop, params,
+                                      config.seed_base + k, label=spec.name)
         except Exception as exc:  # noqa: BLE001
             return (land.name, req_name, spec.name, k, None, str(exc))
         return (land.name, req_name, spec.name, k, result, None)
@@ -206,14 +191,14 @@ def run_experiment(config: ExperimentConfig):
         outcomes = [execute(item) for item in work]
 
     for land_name, req_name, tuner_name, k, result, error in outcomes:
+        run = {"landscape": land_name, "requirement": req_name,
+               "tuner": tuner_name, "seed": k}
         if error is not None:
-            failures.append({
-                "landscape": land_name, "requirement": req_name,
-                "tuner": tuner_name, "seed": k, "error": error,
-            })
+            failures.append({**run, "error": error})
             continue
         _write_trajectory(
-            out / land_name / req_name / tuner_name / f"seed{k}.csv", result)
+            _trajectory_path(out, land_name, req_name, tuner_name, k), result)
+        written.append(run)
         cells.setdefault((land_name, req_name), {}).setdefault(
             tuner_name, []).append(result.best_score)
 
@@ -221,23 +206,18 @@ def run_experiment(config: ExperimentConfig):
     best_rank_counts = {spec.name: 0 for spec in config.tuners}
     for (land_name, req_name) in sorted(cells):
         samples = cells[(land_name, req_name)]
-        rankable = {t: s for t, s in samples.items() if len(s) >= 2}
-        rank_of = ranks(rankable) if len(rankable) >= 2 else {
-            t: 1 for t in rankable}
+        cell = rank_cell(samples)
         for spec in config.tuners:
-            scores = samples.get(spec.name)
-            if not scores:
+            if spec.name not in cell:
                 summary_rows.append([land_name, req_name, spec.name,
                                      "", "", "", 0, "x"])
                 continue
-            rank = rank_of.get(spec.name, "")
+            mean, std, rank = cell[spec.name]
             if rank == 1:
                 best_rank_counts[spec.name] += 1
             summary_rows.append([
-                land_name, req_name, spec.name,
-                repr(statistics.fmean(scores)),
-                repr(statistics.pstdev(scores)),
-                rank, len(scores), "",
+                land_name, req_name, spec.name, repr(mean), repr(std),
+                "" if rank is None else rank, len(samples[spec.name]), "",
             ])
 
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
@@ -258,6 +238,7 @@ def run_experiment(config: ExperimentConfig):
             "seed_base": config.seed_base,
             "early_stop": config.early_stop,
         },
+        "runs": written,
         "failures": failures,
         "best_rank_counts": best_rank_counts,
     }
@@ -345,9 +326,67 @@ def ranks(samples: dict, **kwargs) -> dict:
     return {t: i + 1 for i, group in enumerate(groups) for t in group}
 
 
+def rank_cell(samples: dict, test: str = "welch") -> dict:
+    """tuner -> (mean, population std, rank) of one cell's final scores;
+    tuners with fewer than two scores get rank None."""
+    rank_of = ranks({t: s for t, s in samples.items() if len(s) >= 2},
+                    test=test)
+    return {t: (statistics.fmean(s), statistics.pstdev(s), rank_of.get(t))
+            for t, s in samples.items()}
+
+
+def read_trajectories(result_dir):
+    """(runs, missing) of the latest sweep in result_dir.
+
+    Only the runs that its ``manifest.json`` lists are read, so trajectories
+    an earlier sweep left in the directory are not mixed in. runs holds
+    ((landscape, requirement, tuner, seed), [(budget_used, best_pt_score)])
+    pairs in sweep order; missing, each listed file that is absent or empty.
+    """
+    result_dir = Path(result_dir)
+    try:
+        listed = json.loads((result_dir / "manifest.json").read_text(
+            encoding="utf-8"))["runs"]
+    except (FileNotFoundError, KeyError):
+        raise HarnessError(
+            f"no manifest.json listing the runs under {result_dir}") from None
+    runs, missing = [], []
+    for run in listed:
+        key = (run["landscape"], run["requirement"], run["tuner"], run["seed"])
+        path = _trajectory_path(result_dir, *key)
+        points = []
+        if path.exists():
+            with open(path, newline="", encoding="utf-8") as fh:
+                points = [(int(row["budget_used"]), float(row["best_pt_score"]))
+                          for row in csv.DictReader(fh)]
+        if points:
+            runs.append((key, points))
+        else:
+            missing.append(str(path))
+    return runs, missing
+
+
+def rank_results(result_dir, test: str = "welch") -> list:
+    """[((landscape, requirement), [(tuner, mean, std, rank), ...])] for
+    each cell of the latest sweep in result_dir with two or more ranked
+    tuners, re-ranked from the trajectories; best rank first, ties by name."""
+    cells = {}  # (landscape, req) -> {tuner: [final best scores]}
+    for (land, req, tuner, _), points in read_trajectories(result_dir)[0]:
+        cells.setdefault((land, req), {}).setdefault(tuner, []).append(
+            points[-1][1])
+    out = []
+    for key in sorted(cells):
+        cell = rank_cell(cells[key], test)
+        ranked = sorted((rank, t) for t, (*_, rank) in cell.items()
+                        if rank is not None)
+        if len(ranked) >= 2:
+            out.append((key, [(t, *cell[t]) for _, t in ranked]))
+    return out
+
+
 def emit_trajectory_plots_data(result_dir, step: int = 10,
                                out_name: str = "trajectories.csv"):
-    """Aggregate all trajectories into plot-ready long-format rows.
+    """Aggregate the latest sweep's trajectories into plot-ready rows.
 
     Each tuner's best-so-far curves (over every cell and seed) are resampled
     onto a common budget grid and summarized as mean with a normal-theory 95%
@@ -355,18 +394,8 @@ def emit_trajectory_plots_data(result_dir, step: int = 10,
     """
     result_dir = Path(result_dir)
     curves = {}  # tuner -> list of [(budget, best), ...]
-    missing = []
-    for path in sorted(result_dir.glob("*/*/*/seed*.csv")):
-        tuner = path.parent.name
-        points = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                points.append(
-                    (int(row["budget_used"]), float(row["best_pt_score"])))
-        if not points:
-            missing.append(str(path))
-            continue
+    runs, missing = read_trajectories(result_dir)
+    for (_, _, tuner, _), points in runs:
         curves.setdefault(tuner, []).append(points)
     if not curves:
         raise HarnessError(f"no trajectories under {result_dir}")

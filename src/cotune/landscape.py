@@ -109,12 +109,10 @@ class Landscape:
 class BudgetMeter:
     """Single-owner measurement meter for one tuning run.
 
-    ``consumed`` equals the number of distinct configurations measured unless
-    ``recount_cached`` is set, which restores strict per-call counting.
+    ``consumed`` equals the number of distinct configurations measured.
     """
 
     cap: int
-    recount_cached: bool = False
     consumed: int = 0
     cache: dict = field(default_factory=dict)
 
@@ -127,10 +125,6 @@ def measure(landscape: Landscape, meter: BudgetMeter, config) -> float:
     """Measure one configuration, consuming budget only for first-time lookups."""
     config = tuple(config)
     if config in meter.cache:
-        if meter.recount_cached:
-            if meter.exhausted:
-                raise BudgetExhausted(f"budget of {meter.cap} exhausted")
-            meter.consumed += 1
         return meter.cache[config]
     if meter.exhausted:
         raise BudgetExhausted(f"budget of {meter.cap} exhausted")

@@ -124,10 +124,11 @@ def generate_target(landscape: Landscape, d: float, spec: GenSpec,
     tolerance = spec.tolerance(d, landscape.space_size)
     span = v_max - v_min
 
-    def achieved(onset):
+    def try_onset(onset):
+        """The proposition with this onset and its satisfiable fraction."""
         prop = _build(pattern, v_min, v_max, onset, ratios, scores)
         try:
-            return satisfiability_fraction(landscape, prop)
+            return prop, satisfiability_fraction(landscape, prop)
         except ZeroDivisionError as exc:
             # the onset came so close to v_min that shaped fragments
             # collapsed to zero width, and scoring one divides by zero
@@ -139,20 +140,19 @@ def generate_target(landscape: Landscape, d: float, spec: GenSpec,
     if abs(1.0 - d) <= tolerance:
         prop = _build(pattern, v_min, v_max, v_max - 1e-9 * span, ratios,
                       scores, tail_score=0.05 * scores[3] + 0.01)
-        _check(prop, landscape, d, tolerance)
+        _check(prop, satisfiability_fraction(landscape, prop), d, tolerance)
         return prop
 
     lo, hi = v_min, v_max
-    best_prop, best_err = None, float("inf")
+    best_prop, best_frac, best_err = None, None, float("inf")
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if not v_min < mid < v_max:
             break
-        frac = achieved(mid)
+        prop, frac = try_onset(mid)
         err = abs(frac - d)
         if err < best_err:
-            best_err = err
-            best_prop = _build(pattern, v_min, v_max, mid, ratios, scores)
+            best_prop, best_frac, best_err = prop, frac, err
         if err <= tolerance:
             break
         if frac < d:
@@ -163,15 +163,16 @@ def generate_target(landscape: Landscape, d: float, spec: GenSpec,
         raise CalibrationError(
             f"{landscape.name}: cannot realize d={d} within ±{tolerance:.4g} "
             f"(best error {best_err:.4g})")
-    _check(best_prop, landscape, d, tolerance)
+    _check(best_prop, best_frac, d, tolerance)
     return best_prop
 
 
-def _check(prop, landscape, d, tolerance):
+def _check(prop, achieved, d, tolerance):
+    """Reject an invalid proposition or one whose satisfiable fraction
+    ``achieved`` drifted from d."""
     problems = validate(prop)
     if problems:
         raise CalibrationError(f"generated proposition invalid: {problems}")
-    achieved = satisfiability_fraction(landscape, prop)
     if abs(achieved - d) > tolerance:
         raise CalibrationError(
             f"calibration drifted: achieved {achieved}, wanted {d}±{tolerance}")

@@ -1,9 +1,11 @@
 """Tuner implementations behind a single run interface.
 
-``cotune_run`` co-evolves an auxiliary proposition with two configuration
-populations; ``ga_run`` is the same engine without requirement co-evolution
-(satisfaction objective) or a plain single-population GA on raw performance;
-``random_run`` is the uniform sampling sanity baseline.
+Every tuner is called as ``tuner(landscape, p_t, params, seed, label=...)``
+and labels its ``TunerResult`` itself. ``cotune_run`` co-evolves an
+auxiliary proposition with two configuration populations; ``ga_run`` is the
+same engine without requirement co-evolution (satisfaction objective) or a
+plain single-population GA on raw performance; ``random_run`` is the uniform
+sampling sanity baseline. ``run_tuner`` runs one of the ``TUNER_KINDS``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ class TunerParams:
     enable_case0: bool = True
     enable_case1: bool = True
     enable_case2: bool = True
-    # "history": best over every measured configuration (default, strictly
-    # safer); "populations": best over the two current populations only
-    best_from: str = "history"
 
     def ga_params(self) -> GAParams:
         return GAParams(
@@ -98,23 +97,44 @@ def _sample_distinct_configs(landscape, n, rng):
     return configs
 
 
-def _guarded_escape(p_a, perfs_a, h_old, pool_target, rng):
+def _initial_sample(landscape, params, seed, meter=None):
+    """(rng, meter, [(config, perf)]) of a run's measured initial sample."""
+    if params.budget < 2 * params.population_size:
+        raise ValueError("budget is smaller than the initialization cost")
+    rng = random.Random(seed)
+    meter = meter or BudgetMeter(params.budget)
+    configs = _sample_distinct_configs(landscape, params.population_size, rng)
+    return rng, meter, [(c, measure(landscape, meter, c)) for c in configs]
+
+
+def _measure_until_exhausted(landscape, meter, configs):
+    """(config, perf) pairs in order, up to the first the budget refuses."""
+    measured = []
+    for config in configs:
+        try:
+            measured.append((config, measure(landscape, meter, config)))
+        except BudgetExhausted:
+            break
+    return measured
+
+
+def _guarded_escape(p_a, perfs_a, entropy, pool_target, rng):
     """Case-2 escape that never leaves p_a scoring the population flat.
 
-    A p_a that already gives every member the same score sits at the
-    MIN_ENTROPY sentinel, where no mutant has strictly lower entropy: the
-    search could only run to its attempt cap, so it is skipped without
-    drawing from rng. A result that scores the population flat discriminates
-    nothing and is rejected. Either way p_a is kept, the outcome is flagged
-    and the second element of the returned pair gives the reason; it is None
-    when the escape result is adopted.
+    A p_a whose score ``entropy`` on the population is the MIN_ENTROPY
+    sentinel gives every member the same score, and no mutant has strictly
+    lower entropy: the search could only run to its attempt cap, so it is
+    skipped without drawing from rng. A result that scores the population
+    flat discriminates nothing and is rejected. Either way p_a is kept, the
+    outcome is flagged and the second element of the returned pair gives the
+    reason; it is None when the escape result is adopted.
     """
     kept = reqevolve.EvolutionOutcome(p_a, False)
-    if h_old == MIN_ENTROPY:
+    if entropy(p_a) == MIN_ENTROPY:
         return kept, "p_a scores pop_a with zero variance; escape skipped"
     outcome = reqevolve.escape_case2(p_a, perfs_a, pool_target, rng)
     mutant = outcome.proposition
-    if differential_entropy([mutant.evaluate(v) for v in perfs_a]) == MIN_ENTROPY:
+    if entropy(mutant) == MIN_ENTROPY:
         return kept, (f"escape result {mutant.encode()} scores pop_a with "
                       "zero variance; rejected")
     return outcome, None
@@ -128,20 +148,12 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     Deterministic for a fixed seed. Disabling all three cases turns this into
     the plain requirement-guided GA (identical trace for the same seed).
     """
-    if params.budget < 2 * params.population_size:
-        raise ValueError("budget is smaller than the initialization cost")
-    rng = random.Random(seed)
-    meter = meter or BudgetMeter(params.budget)
+    rng, meter, sample = _initial_sample(landscape, params, seed, meter)
     n = params.population_size
     p_a = p_t
-
-    order = 0
-    pop_t, pop_a = [], []
-    for config in _sample_distinct_configs(landscape, n, rng):
-        perf = measure(landscape, meter, config)
-        pop_t.append(Member(config, perf, p_t.evaluate(perf), order))
-        pop_a.append(Member(config, perf, p_a.evaluate(perf), order))
-        order += 1
+    pop_t = [Member(c, v, p_t.evaluate(v), i) for i, (c, v) in enumerate(sample)]
+    pop_a = list(pop_t)  # p_a starts as p_t
+    order = len(sample)
 
     result = TunerResult(label, None, float("-inf"))
 
@@ -150,9 +162,6 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
 
     def current_best():
         nonlocal best_seen, scanned
-        if params.best_from != "history":
-            return max(((m.config, p_t.evaluate(m.perf)) for m in pop_t + pop_a),
-                       key=lambda cv: cv[1])
         # p_t never changes, so only configurations measured since the last
         # call need scoring; a tie keeps the earlier one, as max over the
         # whole cache in measurement order would
@@ -163,9 +172,16 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
         scanned = len(meter.cache)
         return best_seen
 
-    best_config, best_score = current_best()
-    result.best_config, result.best_score = best_config, best_score
-    prev_best_score = best_score
+    # a firing case's event and the trajectory row score the same samples
+    entropies = {}  # score sample -> its entropy
+
+    def entropy_on_pop_a(prop):
+        sample = tuple(prop.evaluate(m.perf) for m in pop_a)
+        if sample not in entropies:
+            entropies[sample] = differential_entropy(sample)
+        return entropies[sample]
+
+    result.best_config, result.best_score = current_best()
     stagnation = 0
     pa_changed_last = False
     prev_perfs_a = None  # previous iteration's population snapshots, for the
@@ -174,17 +190,14 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     def record(iteration, guiding, case, theta):
         result.trajectory.append(TrajectoryRow(
             iteration, meter.consumed, result.best_score,
-            guiding, case or "", theta,
-            differential_entropy([p_a.evaluate(m.perf) for m in pop_a]),
+            guiding, case or "", theta, entropy_on_pop_a(p_a),
         ))
 
     record(0, "", "", 0.0)
-    if params.early_stop and best_score == 1.0:
-        result.budget_consumed = meter.consumed
-        return result
-
+    stop = params.early_stop and result.best_score == 1.0
     iteration = 0
-    while meter.consumed + n < params.budget and iteration < params.generations:
+    while (not stop and meter.consumed + n < params.budget
+           and iteration < params.generations):
         iteration += 1
 
         # (a) guidance probability from both populations' standing
@@ -206,22 +219,14 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
         guiding = "p_a" if use_aux else "p_t"
         source = pop_a if use_aux else pop_t
         offspring = make_offspring(source, landscape.options, params.ga_params(), rng)
-
-        newcomers = []
-        for config in offspring:
-            try:
-                perf = measure(landscape, meter, config)
-            except BudgetExhausted:
-                break
-            newcomers.append((config, perf))
+        newcomers = _measure_until_exhausted(landscape, meter, offspring)
 
         # (c) dual elitist preservation
-        next_order = order
         pop_t = preserve_top(
-            pop_t + [Member(c, v, p_t.evaluate(v), next_order + i)
+            pop_t + [Member(c, v, p_t.evaluate(v), order + i)
                      for i, (c, v) in enumerate(newcomers)], n)
         pop_a = preserve_top(
-            pop_a + [Member(c, v, p_a.evaluate(v), next_order + i)
+            pop_a + [Member(c, v, p_a.evaluate(v), order + i)
                      for i, (c, v) in enumerate(newcomers)], n)
         order += len(newcomers)
         prev_perfs_a = [m.perf for m in pop_a]
@@ -236,8 +241,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
         if case is not None:
             perfs_a = [m.perf for m in pop_a]
             old_p_a = p_a
-            old_entropy = differential_entropy(
-                [old_p_a.evaluate(v) for v in perfs_a])
+            old_entropy = entropy_on_pop_a(old_p_a)
             reason = None
             try:
                 if case == reqevolve.CASE0:
@@ -246,7 +250,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                     outcome = reqevolve.tighten_case1(p_a, perfs_a, rng)
                 else:
                     outcome, reason = _guarded_escape(
-                        p_a, perfs_a, old_entropy, n, rng)
+                        p_a, perfs_a, entropy_on_pop_a, n, rng)
                 p_a = outcome.proposition
             except reqevolve.RequirementEvolutionError as exc:
                 outcome = None
@@ -262,8 +266,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                     "old_integral": old_p_a.integral(),
                     "new_integral": p_a.integral(),
                     "old_entropy": old_entropy,
-                    "new_entropy": differential_entropy(
-                        [p_a.evaluate(v) for v in perfs_a]),
+                    "new_entropy": entropy_on_pop_a(p_a),
                 }
                 if reason is not None:
                     event["reason"] = reason
@@ -274,14 +277,10 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
 
         # (e) best-on-target tracking and stagnation accounting
         best_config, best_score = current_best()
-        if best_score > prev_best_score:
-            prev_best_score = best_score
+        if best_score > result.best_score:
             result.best_config, result.best_score = best_config, best_score
             stagnation = 0
-            if params.early_stop and best_score == 1.0:
-                record(iteration, guiding, case, theta)
-                result.budget_consumed = meter.consumed
-                return result
+            stop = params.early_stop and best_score == 1.0
         else:
             stagnation += 1
         record(iteration, guiding, case, theta)
@@ -291,86 +290,69 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
 
 
 def ga_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
-           seed: int, objective: str = "satisfaction") -> TunerResult:
-    """GA baselines: the requirement-guided GA is the co-evolution engine
-    with every case disabled; the raw variant optimizes negated performance
-    in a single population and reports the target score of its best point."""
+           seed: int, label: str | None = None,
+           objective: str = "satisfaction") -> TunerResult:
+    """GA baselines: the requirement-guided GA_p is the co-evolution engine
+    with every case disabled; the raw GA_r optimizes negated performance in
+    a single population and reports the target score of its best point."""
     if objective == "satisfaction":
         ga_params = replace(
             params, enable_case0=False, enable_case1=False, enable_case2=False)
-        result = cotune_run(landscape, p_t, ga_params, seed, label="GA_p")
-        return result
+        return cotune_run(landscape, p_t, ga_params, seed, label=label or "GA_p")
     if objective != "raw":
         raise ValueError(f"unknown objective {objective!r}")
-    return _ga_raw_run(landscape, p_t, params, seed)
+    return _ga_raw_run(landscape, p_t, params, seed, label or "GA_r")
 
 
-def _ga_raw_run(landscape, p_t, params, seed):
-    if params.budget < 2 * params.population_size:
-        raise ValueError("budget is smaller than the initialization cost")
-    rng = random.Random(seed)
-    meter = BudgetMeter(params.budget)
+def _ga_raw_run(landscape, p_t, params, seed, label):
+    rng, meter, sample = _initial_sample(landscape, params, seed)
     n = params.population_size
+    pop = [Member(c, v, -v, i) for i, (c, v) in enumerate(sample)]
+    order = len(sample)
 
-    order = 0
-    pop = []
-    for config in _sample_distinct_configs(landscape, n, rng):
-        perf = measure(landscape, meter, config)
-        pop.append(Member(config, perf, -perf, order))
-        order += 1
+    result = TunerResult(label, None, float("-inf"))
 
-    result = TunerResult("GA_r", None, float("-inf"))
-
-    def update_best():
+    def record(iteration):  # -> whether the run stops early
         config, perf = min(meter.cache.items(), key=lambda cv: cv[1])
         score = p_t.evaluate(perf)
         if score > result.best_score:
             result.best_config, result.best_score = config, score
-
-    update_best()
-    result.trajectory.append(TrajectoryRow(
-        0, meter.consumed, result.best_score, "raw", "", 0.0, 0.0))
-    if params.early_stop and result.best_score == 1.0:
-        result.budget_consumed = meter.consumed
-        return result
-
-    iteration = 0
-    while meter.consumed + n < params.budget and iteration < params.generations:
-        iteration += 1
-        offspring = make_offspring(pop, landscape.options, params.ga_params(), rng)
-        newcomers = []
-        for config in offspring:
-            try:
-                perf = measure(landscape, meter, config)
-            except BudgetExhausted:
-                break
-            newcomers.append(Member(config, perf, -perf, order))
-            order += 1
-        pop = preserve_top(pop + newcomers, n)
-        update_best()
         result.trajectory.append(TrajectoryRow(
             iteration, meter.consumed, result.best_score, "raw", "", 0.0, 0.0))
-        if params.early_stop and result.best_score == 1.0:
-            break
+        return params.early_stop and result.best_score == 1.0
+
+    iteration = 0
+    stop = record(iteration)
+    while (not stop and meter.consumed + n < params.budget
+           and iteration < params.generations):
+        iteration += 1
+        offspring = make_offspring(pop, landscape.options, params.ga_params(), rng)
+        newcomers = [
+            Member(c, v, -v, order + i) for i, (c, v) in enumerate(
+                _measure_until_exhausted(landscape, meter, offspring))]
+        order += len(newcomers)
+        pop = preserve_top(pop + newcomers, n)
+        stop = record(iteration)
 
     result.budget_consumed = meter.consumed
     return result
 
 
-def random_run(landscape: Landscape, p_t: Proposition, budget: int,
-               seed: int, early_stop: bool = True) -> TunerResult:
-    """Uniform random sampling of distinct configurations."""
-    if budget < 1:
+def random_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
+               seed: int, label: str = "Random") -> TunerResult:
+    """Uniform random sampling of distinct configurations, up to
+    ``params.budget`` of them; only ``budget`` and ``early_stop`` apply."""
+    if params.budget < 1:
         raise ValueError("budget must be positive")
     rng = random.Random(seed)
-    meter = BudgetMeter(budget)
-    result = TunerResult("Random", None, float("-inf"))
+    meter = BudgetMeter(params.budget)
+    result = TunerResult(label, None, float("-inf"))
     seen = set()
     attempts = 0
-    while meter.consumed < budget and len(seen) < landscape.space_size:
+    while not meter.exhausted and len(seen) < landscape.space_size:
         config = landscape.random_config(rng)
         attempts += 1
-        if config in seen and attempts < 10000 * budget:
+        if config in seen and attempts < 10000 * meter.cap:
             continue
         seen.add(config)
         perf = measure(landscape, meter, config)
@@ -380,7 +362,25 @@ def random_run(landscape: Landscape, p_t: Proposition, budget: int,
         result.trajectory.append(TrajectoryRow(
             meter.consumed, meter.consumed, result.best_score,
             "random", "", 0.0, 0.0))
-        if early_stop and result.best_score == 1.0:
+        if params.early_stop and result.best_score == 1.0:
             break
     result.budget_consumed = meter.consumed
     return result
+
+
+# kind -> (default label, entry point, keyword arguments). run_tuner looks the
+# entry point up by name at call time, so a wrapper installed later on this
+# module's attribute (as the benchmark's tracer does) sees every run.
+TUNER_KINDS = {
+    "cotune": ("CoTune", "cotune_run", {}),
+    "ga_p": ("GA_p", "ga_run", {"objective": "satisfaction"}),
+    "ga_r": ("GA_r", "ga_run", {"objective": "raw"}),
+    "random": ("Random", "random_run", {}),
+}
+
+
+def run_tuner(kind: str, landscape: Landscape, p_t: Proposition,
+              params: TunerParams, seed: int, label: str) -> TunerResult:
+    """Run the tuner of one ``TUNER_KINDS`` kind under the given label."""
+    _, entry, kwargs = TUNER_KINDS[kind]
+    return globals()[entry](landscape, p_t, params, seed, label=label, **kwargs)

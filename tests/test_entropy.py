@@ -11,7 +11,6 @@ from cotune.entropy import (
     MIN_ENTROPY,
     EntropyError,
     differential_entropy,
-    discriminative_compare,
     kde,
     silverman_bandwidth,
 )
@@ -101,15 +100,3 @@ class TestDifferentialEntropy:
         tight = [0.5, 0.5, 0.5, 0.51, 0.49]
         wide = [0.0, 0.25, 0.5, 0.75, 1.0]
         assert differential_entropy(wide) > differential_entropy(tight)
-
-
-class TestDiscriminativeCompare:
-    def test_orders_samples(self):
-        wide = [0.0, 0.25, 0.5, 0.75, 1.0]
-        tight = [0.5] * 5
-        assert discriminative_compare(wide, tight) == 1
-        assert discriminative_compare(tight, wide) == -1
-
-    def test_tie(self):
-        s = [0.1, 0.4, 0.9]
-        assert discriminative_compare(s, list(s)) == 0

@@ -107,8 +107,7 @@ def run_tuner(tuner, land, prop, seed):
         return ga_run(land, prop, params, seed)
     if tuner == "GA_r":
         return ga_run(land, prop, params, seed, objective="raw")
-    return random_run(land, prop, params.budget, seed,
-                      early_stop=params.early_stop)
+    return random_run(land, prop, params, seed)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,15 @@
 """Tests for the experiment harness, ranking and the CLI."""
 
 import csv
+import functools
 import json
 import random
+import shutil
 import statistics
 
 import pytest
 
+from cotune import tuners
 from cotune.cli import main as cli_main
 from cotune.harness import (
     ExperimentConfig,
@@ -18,7 +21,16 @@ from cotune.harness import (
     run_experiment,
     scott_knott_esd,
 )
-from cotune.landscape import synth, write_csv
+from cotune.landscape import load_csv, synth, write_csv
+from cotune.requirement import Fragment, Proposition
+from cotune.tuners import (
+    TUNER_KINDS,
+    TunerParams,
+    cotune_run,
+    ga_run,
+    random_run,
+    run_tuner,
+)
 
 
 def gauss_sample(rng, mean, std, n=30):
@@ -210,9 +222,85 @@ class TestTrajectoryData:
         # drop one trajectory so exactly one run remains
         files = sorted((tmp_path / "out").glob("*/*/*/seed*.csv"))
         files[1].unlink()
-        rows, _ = emit_trajectory_plots_data(tmp_path / "out", step=10)
+        rows, missing = emit_trajectory_plots_data(tmp_path / "out", step=10)
+        assert missing == [str(files[1])]
         for row in rows:
             assert row[3] == row[2] == row[4]
+
+
+# each kind's entry point called directly, as a library user would
+DIRECT = {
+    "cotune": cotune_run,
+    "ga_p": functools.partial(ga_run, objective="satisfaction"),
+    "ga_r": functools.partial(ga_run, objective="raw"),
+    "random": random_run,
+}
+
+
+def typed_rows(path):
+    with open(path, newline="") as fh:
+        return [(int(r["iteration"]), int(r["budget_used"]),
+                 float(r["best_pt_score"]), r["guiding_proposition"],
+                 r["case_fired"], float(r["theta"]), float(r["entropy_pa"]))
+                for r in csv.DictReader(fh)]
+
+
+class TestTunerProtocol:
+    def test_spec_accepts_exactly_the_table_kinds(self):
+        assert set(DIRECT) == set(TUNER_KINDS)
+        for kind, (label, *_) in TUNER_KINDS.items():
+            assert TunerSpec("Mine", kind=kind).kind == kind
+            assert TunerSpec(label).kind == kind
+        for kind in ("ga", "Random", "cotune_run"):
+            with pytest.raises(HarnessError):
+                TunerSpec("Mine", kind=kind)
+
+    @pytest.mark.parametrize("kind", sorted(TUNER_KINDS))
+    def test_spec_run_matches_the_direct_call(self, tmp_path, kind):
+        land = synth(seed=1, n_options=6, domain_sizes=2, shape="rugged")
+        write_csv(land, tmp_path / "land.csv")
+        land = load_csv(tmp_path / "land.csv", name="small")
+        values = sorted(land.measurements.values())
+        prop = Proposition((
+            Fragment("E", land.v_min, values[6], 1.0, 1.0),
+            Fragment("S", values[6], values[40], 1.0, 0.0),
+            Fragment("E", values[40], land.v_max, 0.0, 0.0),
+        ))
+        req = tmp_path / "req.json"
+        req.write_text(prop.dumps())
+        run_experiment(ExperimentConfig(
+            landscapes=[{"name": "small", "csv": str(tmp_path / "land.csv")}],
+            requirements=[{"file": str(req)}],
+            tuners=[TunerSpec("Mine", kind=kind, params={"budget": 60})],
+            out_dir=str(tmp_path / "out"), repeats=2))
+        params = TunerParams(budget=60, early_stop=False)
+        for seed in (0, 1):
+            direct = DIRECT[kind](land, prop, params, seed, label="Mine")
+            assert direct.tuner == "Mine"
+            assert typed_rows(tmp_path / "out" / "small" / "req" / "Mine"
+                              / f"seed{seed}.csv") == [
+                (r.iteration, r.budget_used, r.best_pt_score,
+                 r.guiding_proposition, r.case_fired, r.theta, r.entropy_pa)
+                for r in direct.trajectory]
+        assert DIRECT[kind](land, prop, params, 0).tuner == TUNER_KINDS[kind][0]
+
+    @pytest.mark.parametrize("kind", sorted(TUNER_KINDS))
+    def test_run_tuner_calls_the_module_attribute(self, monkeypatch, kind):
+        # a wrapper installed on the module after import sees every run
+        land = synth(seed=1, n_options=6, domain_sizes=2, shape="additive")
+        entry = TUNER_KINDS[kind][1]
+        real, labels = getattr(tuners, entry), []
+
+        def spy(*args, label, **kwargs):
+            labels.append(label)
+            return real(*args, label=label, **kwargs)
+
+        monkeypatch.setattr(tuners, entry, spy)
+        prop = Proposition((Fragment("S", land.v_min, land.v_max, 1.0, 0.0),))
+        result = run_tuner(kind, land, prop, TunerParams(budget=30), 0,
+                           label="Mine")
+        assert labels[0] == "Mine"
+        assert result.tuner == "Mine"
 
 
 class TestConfigLoading:
@@ -271,6 +359,41 @@ class TestCli:
         assert rc == 0
         captured = capsys.readouterr()
         assert "rank" in captured.out
+
+    def test_rank_and_trajectories_cover_only_the_latest_sweep(
+            self, tmp_path, capsys):
+        land_csv = tmp_path / "land.csv"
+        cli_main(["synth", "--seed", "1", "--options", "6",
+                  "--shape", "additive", "--out", str(land_csv)])
+        cli_main(["gen-reqs", "--landscape", str(land_csv), "--d", "0.2,0.5",
+                  "--types", "1", "--seed", "3",
+                  "--out", str(tmp_path / "reqs")])
+        first, second = sorted((tmp_path / "reqs").glob("req_*.json"))
+        out = tmp_path / "out"
+        for req in (first, second):
+            config_path = tmp_path / f"{req.stem}.json"
+            config_path.write_text(json.dumps({
+                "landscapes": [{"name": "land", "csv": "land.csv"}],
+                "requirements": [{"file": f"reqs/{req.name}"}],
+                "tuners": [{"name": "CoTune", "params": {"budget": 60}},
+                           {"name": "Random", "params": {"budget": 60}}],
+                "out_dir": str(out),
+                "repeats": 2,
+            }))
+            assert cli_main(["run", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["rank", "--results", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert f"land / {second.stem}:" in printed
+        assert first.stem not in printed
+        # the first sweep's trajectories are still on disk but not read
+        rows, missing = emit_trajectory_plots_data(out)
+        shutil.rmtree(out / "land" / first.stem)
+        assert emit_trajectory_plots_data(out) == (rows, missing)
+
+    def test_rank_without_a_sweep(self, tmp_path, capsys):
+        assert cli_main(["rank", "--results", str(tmp_path)]) == 1
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_run_partial_failure_exit_code(self, tmp_path):
         land_csv = tmp_path / "land.csv"

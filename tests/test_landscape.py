@@ -82,15 +82,6 @@ class TestBudgetMeter:
         # revisits still served after exhaustion
         assert measure(land, meter, (0, 1)) == 1.0
 
-    def test_recount_cached_strict_mode(self):
-        land = tiny_landscape()
-        meter = BudgetMeter(cap=2, recount_cached=True)
-        measure(land, meter, (0, 0))
-        measure(land, meter, (0, 0))
-        assert meter.consumed == 2
-        with pytest.raises(BudgetExhausted):
-            measure(land, meter, (0, 0))
-
 
 class TestSatisfiabilityFraction:
     def test_counts_nonzero_scores(self):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cotune import reqgen
 from cotune.landscape import Landscape, OptionSpec, satisfiability_fraction, synth
 from cotune.requirement import Proposition, validate
 from cotune.reqgen import (
@@ -110,6 +111,26 @@ class TestGenerateTarget:
         land = synth(seed=8, n_options=10, domain_sizes=2, shape="plateau")
         with pytest.raises(CalibrationError, match="zero width"):
             generate_target(land, 0.5, GenSpec(), random.Random(1), 1)
+
+    def test_one_satisfiability_pass_per_bisection_step(self, monkeypatch):
+        # every bisection step scores a proposition with an onset of its
+        # own, and the chosen proposition keeps the fraction its step
+        # computed; d=1 takes the one-pass path without a bisection
+        land = synth(seed=7, n_options=12, domain_sizes=2, shape="rugged")
+        onsets = []
+
+        def spy(landscape, prop):
+            onsets.append(prop.fragments[-1].v_lo)
+            return satisfiability_fraction(landscape, prop)
+
+        monkeypatch.setattr(reqgen, "satisfiability_fraction", spy)
+        rng = random.Random(0)
+        for type_index in range(3):
+            for d in (0.001, 0.05, 0.5, 1.0):
+                onsets.clear()
+                generate_target(land, d, GenSpec(), rng, type_index)
+                assert onsets
+                assert len(onsets) == len(set(onsets)), (type_index, d)
 
 
 class TestGenerateSuite:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotune import reqevolve
+from cotune import reqevolve, tuners
 from cotune.entropy import MIN_ENTROPY, differential_entropy
 from cotune.landscape import BudgetMeter, synth
 from cotune.reqgen import GenSpec, generate_target
@@ -110,14 +110,6 @@ class TestCotuneRun:
             cotune_run(land, strict_proposition(land),
                        TunerParams(budget=15), seed=0)
 
-    def test_populations_best_flag(self):
-        land = small_landscape()
-        p_t = strict_proposition(land)
-        r = cotune_run(land, p_t,
-                       TunerParams(early_stop=False, best_from="populations"),
-                       seed=3)
-        assert 0.0 <= r.best_score <= 1.0
-
     def test_best_is_the_first_best_of_the_history(self):
         # about 6 of the 64 configurations tie at score 1; the reported best
         # is the earliest measured of the best, and every trajectory row
@@ -198,6 +190,39 @@ class TestStagnationEscape:
         assert skipped > 0
 
 
+class TestEntropyReuse:
+    def test_no_sample_scored_twice_between_offspring_batches(
+            self, monkeypatch):
+        # a firing case's event, an adopted escape result and the trajectory
+        # row all need p_a's score entropy on pop_a
+        land, p_t, params = TestStagnationEscape.strict_setup()
+        real_entropy = tuners.differential_entropy
+        real_offspring = tuners.make_offspring
+        calls = []  # score samples; None marks a make_offspring call
+
+        def entropy_spy(sample, *args, **kwargs):
+            calls.append(tuple(sample))
+            return real_entropy(sample, *args, **kwargs)
+
+        def offspring_spy(*args, **kwargs):
+            calls.append(None)
+            return real_offspring(*args, **kwargs)
+
+        monkeypatch.setattr(tuners, "differential_entropy", entropy_spy)
+        monkeypatch.setattr(tuners, "make_offspring", offspring_spy)
+        r = cotune_run(land, p_t, params, seed=100)
+        assert {e["case"] for e in r.events} == {
+            reqevolve.CASE0, reqevolve.CASE1, reqevolve.CASE2}
+        assert None in calls
+        window = []
+        for sample in calls + [None]:
+            if sample is None:
+                assert len(window) == len(set(window))
+                window = []
+            else:
+                window.append(sample)
+
+
 class TestAblationIdentity:
     def test_all_cases_disabled_equals_ga_p(self):
         land = synth(seed=8, n_options=10, domain_sizes=2, shape="rugged")
@@ -248,13 +273,15 @@ class TestRandomRun:
     def test_exhaustive_budget_finds_global_best(self):
         land = small_landscape()
         p_t = strict_proposition(land)
-        r = random_run(land, p_t, budget=64, seed=0, early_stop=False)
+        r = random_run(land, p_t, TunerParams(budget=64, early_stop=False),
+                       seed=0)
         best = max(p_t.evaluate(v) for v in land.measurements.values())
         assert r.best_score == pytest.approx(best)
 
     def test_single_measurement(self):
         land = small_landscape()
-        r = random_run(land, strict_proposition(land), budget=1, seed=3)
+        r = random_run(land, strict_proposition(land), TunerParams(budget=1),
+                       seed=3)
         assert r.budget_consumed == 1
 
     def test_mean_best_matches_order_statistics(self):
@@ -272,7 +299,7 @@ class TestRandomRun:
             p_le = math.comb(k, B) / math.comb(n, B)
             expected += scores[k - 1] * (p_le - prev)
             prev = p_le
-        observed = sum(
-            random_run(land, p_t, budget=B, seed=s, early_stop=False).best_score
-            for s in range(1000)) / 1000
+        params = TunerParams(budget=B, early_stop=False)
+        observed = sum(random_run(land, p_t, params, seed=s).best_score
+                       for s in range(1000)) / 1000
         assert observed == pytest.approx(expected, abs=0.02)
