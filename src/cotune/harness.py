@@ -89,7 +89,10 @@ class ExperimentConfig:
 
 def _resolve_landscape(entry) -> landscape_mod.Landscape:
     if "csv" in entry:
-        return landscape_mod.load_csv(entry["csv"], name=entry.get("name"))
+        # an unnamed CSV landscape is named by its file stem: its path may be
+        # absolute, and out_dir / name would then drop out_dir
+        return landscape_mod.load_csv(
+            entry["csv"], name=entry.get("name") or Path(entry["csv"]).stem)
     if "synth" in entry:
         spec = dict(entry["synth"])
         return landscape_mod.synth(
@@ -145,7 +148,8 @@ def _write_trajectory(path: Path, result) -> None:
 
 
 def run_experiment(config: ExperimentConfig):
-    """Execute the full sweep; per-run failures are logged, never fatal.
+    """Execute the full sweep; a run that fails, or whose trajectory cannot
+    be written, is logged as a failure, never fatal.
 
     Returns a dict with the output directory, the summary rows, the failure
     log and the best-rank roll-up. Deterministic for a fixed seed base.
@@ -193,11 +197,15 @@ def run_experiment(config: ExperimentConfig):
     for land_name, req_name, tuner_name, k, result, error in outcomes:
         run = {"landscape": land_name, "requirement": req_name,
                "tuner": tuner_name, "seed": k}
+        if error is None:
+            try:
+                _write_trajectory(_trajectory_path(
+                    out, land_name, req_name, tuner_name, k), result)
+            except OSError as exc:
+                error = f"trajectory not written: {exc}"
         if error is not None:
             failures.append({**run, "error": error})
             continue
-        _write_trajectory(
-            _trajectory_path(out, land_name, req_name, tuner_name, k), result)
         written.append(run)
         cells.setdefault((land_name, req_name), {}).setdefault(
             tuner_name, []).append(result.best_score)

@@ -8,12 +8,18 @@ Three situations trigger a change, with decreasing commonality:
   tighten a left boundary until scores spread out.
 * Case 2: the best configuration on the target has stagnated -> random-search
   for a mutant proposition with strictly lower score entropy.
+
+Each case function scores entropy with ``differential_entropy`` unless the
+caller passes its own ``entropy`` function (a tuner run passes one that
+memoizes every score sample for the whole run). It is called with a tuple of
+scores and must return what ``differential_entropy`` would.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .entropy import differential_entropy
 from .requirement import Fragment, Proposition, validate
@@ -62,8 +68,8 @@ def _distinguishable(frag: Fragment) -> bool:
     return frag.kind in ("G", "S") and frag.s_lo != frag.s_hi
 
 
-def _scores(prop: Proposition, perf_values):
-    return [prop.evaluate(v) for v in perf_values]
+def _scores(prop: Proposition, perf_values) -> tuple:
+    return tuple(prop.evaluate(v) for v in perf_values)
 
 
 def _assert_valid(prop: Proposition):
@@ -118,7 +124,8 @@ def _move_left_boundary(prop: Proposition, idx: int, new_b: float) -> Propositio
     return Proposition(tuple(out))
 
 
-def relax_case0(p_a: Proposition, perf_values, rng: random.Random) -> EvolutionOutcome:
+def relax_case0(p_a: Proposition, perf_values, rng: random.Random, *,
+                entropy=None) -> EvolutionOutcome:
     """Relax the first distinguishable fragment from the right.
 
     Its right boundary b moves rightward by min(b + b*delta, v_max) with
@@ -135,7 +142,8 @@ def relax_case0(p_a: Proposition, perf_values, rng: random.Random) -> EvolutionO
     if idx is None:
         raise RequirementEvolutionError("no distinguishable fragment to relax")
 
-    h_old = differential_entropy(_scores(p_a, perf_values))
+    entropy = entropy or differential_entropy
+    h_old = entropy(_scores(p_a, perf_values))
     base_area = p_a.integral()
     current = p_a
     while True:
@@ -154,11 +162,12 @@ def relax_case0(p_a: Proposition, perf_values, rng: random.Random) -> EvolutionO
         _assert_valid(current)
         if not current.integral() > base_area:
             raise RequirementEvolutionError("relaxation did not grow the integral")
-        if differential_entropy(_scores(current, perf_values)) > h_old:
+        if entropy(_scores(current, perf_values)) > h_old:
             return EvolutionOutcome(current, True)
 
 
-def tighten_case1(p_a: Proposition, perf_values, rng: random.Random) -> EvolutionOutcome:
+def tighten_case1(p_a: Proposition, perf_values, rng: random.Random, *,
+                  entropy=None) -> EvolutionOutcome:
     """Tighten the first distinguishable fragment from the left.
 
     Mirror of relax_case0: the left boundary moves leftward toward v_min and
@@ -173,7 +182,8 @@ def tighten_case1(p_a: Proposition, perf_values, rng: random.Random) -> Evolutio
     if idx is None:
         raise RequirementEvolutionError("no distinguishable fragment to tighten")
 
-    h_old = differential_entropy(_scores(p_a, perf_values))
+    entropy = entropy or differential_entropy
+    h_old = entropy(_scores(p_a, perf_values))
     base_area = p_a.integral()
     current = p_a
     while True:
@@ -194,7 +204,7 @@ def tighten_case1(p_a: Proposition, perf_values, rng: random.Random) -> Evolutio
         _assert_valid(current)
         if not current.integral() < base_area:
             raise RequirementEvolutionError("tightening did not shrink the integral")
-        if differential_entropy(_scores(current, perf_values)) > h_old:
+        if entropy(_scores(current, perf_values)) > h_old:
             return EvolutionOutcome(current, True)
 
 
@@ -264,7 +274,8 @@ def mutate_proposition(p_a: Proposition, rng: random.Random,
 
 
 def escape_case2(p_a: Proposition, perf_values, pool_target: int,
-                 rng: random.Random, attempt_cap: int | None = None) -> EvolutionOutcome:
+                 rng: random.Random, attempt_cap: int | None = None, *,
+                 entropy=None) -> EvolutionOutcome:
     """Random search for a mutant with strictly lower score entropy.
 
     Mutants accumulate in a pool capped at pool_target (highest-entropy
@@ -275,16 +286,14 @@ def escape_case2(p_a: Proposition, perf_values, pool_target: int,
     """
     if attempt_cap is None:
         attempt_cap = 50 * pool_target
-    h_current = differential_entropy(_scores(p_a, perf_values))
+    # mutants often share score vectors: score each distinct one once
+    entropy = entropy or cache(differential_entropy)
+    h_current = entropy(_scores(p_a, perf_values))
     pool: list[tuple[float, int, Proposition]] = []
     capped = True
-    entropy_of: dict[tuple, float] = {}  # mutants often share score vectors
     for attempt in range(attempt_cap):
         mutant = mutate_proposition(p_a, rng)
-        scores = tuple(_scores(mutant, perf_values))
-        h = entropy_of.get(scores)
-        if h is None:
-            h = entropy_of[scores] = differential_entropy(scores)
+        h = entropy(_scores(mutant, perf_values))
         pool.append((h, attempt, mutant))
         if len(pool) > pool_target:
             pool.remove(max(pool, key=lambda e: (e[0], -e[1])))

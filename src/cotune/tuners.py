@@ -127,14 +127,19 @@ def _guarded_escape(p_a, perfs_a, entropy, pool_target, rng):
     skipped without drawing from rng. A result that scores the population
     flat discriminates nothing and is rejected. Either way p_a is kept, the
     outcome is flagged and the second element of the returned pair gives the
-    reason; it is None when the escape result is adopted.
+    reason; it is None when the escape result is adopted. ``entropy`` maps a
+    tuple of scores to its entropy and is passed on to the escape.
     """
+    def flat(prop):
+        return entropy(tuple(prop.evaluate(v) for v in perfs_a)) == MIN_ENTROPY
+
     kept = reqevolve.EvolutionOutcome(p_a, False)
-    if entropy(p_a) == MIN_ENTROPY:
+    if flat(p_a):
         return kept, "p_a scores pop_a with zero variance; escape skipped"
-    outcome = reqevolve.escape_case2(p_a, perfs_a, pool_target, rng)
+    outcome = reqevolve.escape_case2(p_a, perfs_a, pool_target, rng,
+                                     entropy=entropy)
     mutant = outcome.proposition
-    if entropy(mutant) == MIN_ENTROPY:
+    if flat(mutant):
         return kept, (f"escape result {mutant.encode()} scores pop_a with "
                       "zero variance; rejected")
     return outcome, None
@@ -172,14 +177,18 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
         scanned = len(meter.cache)
         return best_seen
 
-    # a firing case's event and the trajectory row score the same samples
-    entropies = {}  # score sample -> its entropy
+    # a firing case's event, its requirement evolution and the trajectory
+    # rows score many of the same samples; each is scored once per run,
+    # through this module's differential_entropy
+    entropies = {}  # score sample (a tuple) -> its entropy
 
-    def entropy_on_pop_a(prop):
-        sample = tuple(prop.evaluate(m.perf) for m in pop_a)
+    def entropy(sample):
         if sample not in entropies:
             entropies[sample] = differential_entropy(sample)
         return entropies[sample]
+
+    def entropy_on_pop_a(prop):
+        return entropy(tuple(prop.evaluate(m.perf) for m in pop_a))
 
     result.best_config, result.best_score = current_best()
     stagnation = 0
@@ -245,12 +254,14 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
             reason = None
             try:
                 if case == reqevolve.CASE0:
-                    outcome = reqevolve.relax_case0(p_a, perfs_a, rng)
+                    outcome = reqevolve.relax_case0(
+                        p_a, perfs_a, rng, entropy=entropy)
                 elif case == reqevolve.CASE1:
-                    outcome = reqevolve.tighten_case1(p_a, perfs_a, rng)
+                    outcome = reqevolve.tighten_case1(
+                        p_a, perfs_a, rng, entropy=entropy)
                 else:
                     outcome, reason = _guarded_escape(
-                        p_a, perfs_a, entropy_on_pop_a, n, rng)
+                        p_a, perfs_a, entropy, n, rng)
                 p_a = outcome.proposition
             except reqevolve.RequirementEvolutionError as exc:
                 outcome = None

@@ -1,6 +1,7 @@
 """Tests for the score-entropy machinery."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import trapezoid
 
 from cotune.entropy import (
     BANDWIDTH_FLOOR,
+    GRID_POINTS,
     MIN_ENTROPY,
     EntropyError,
     differential_entropy,
@@ -100,3 +102,70 @@ class TestDifferentialEntropy:
         tight = [0.5, 0.5, 0.5, 0.51, 0.49]
         wide = [0.0, 0.25, 0.5, 0.75, 1.0]
         assert differential_entropy(wide) > differential_entropy(tight)
+
+
+def reference_kde(sample, grid_points=GRID_POINTS):
+    """The kernel as first written: (bandwidth, grid, density)."""
+    arr = np.asarray(sample, dtype=float)
+    bw = silverman_bandwidth(arr)
+    grid = np.linspace(0.0 - 3.0 * bw, 1.0 + 3.0 * bw, grid_points)
+    # mean of Gaussian kernels centered at the sample points
+    z = (grid[:, None] - arr[None, :]) / bw
+    density = np.exp(-0.5 * z * z).sum(axis=1) / (
+        arr.size * bw * math.sqrt(2.0 * math.pi)
+    )
+    return bw, grid, density
+
+
+def reference_entropy(sample, grid_points=GRID_POINTS):
+    """differential_entropy as first written, on reference_kde."""
+    if max(sample) == min(sample):
+        return MIN_ENTROPY
+    _, grid, beta = reference_kde(sample, grid_points)
+    # 0 * log 0 := 0
+    integrand = np.where(beta > 0.0, -beta * np.log(np.where(beta > 0, beta, 1.0)), 0.0)
+    return float(np.trapezoid(integrand, grid))
+
+
+class TestKernelExactness:
+    """The kernel gives the bits of the formula it replaced, not just close
+    values: trajectories and their digests depend on every entropy."""
+
+    SIZES = (2, 3, 5, 10, 11, 20)
+
+    @staticmethod
+    def samples(n, rng, count=540):
+        for i in range(count):
+            if i % 3 == 0:  # spread scores
+                yield [rng.random() for _ in range(n)]
+            elif i % 3 == 1:  # ties at both ends of the score range
+                yield [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
+            else:  # near-constant: the bandwidth floor applies
+                base = rng.random()
+                yield [base + rng.choice((0.0, 1e-9, 1e-7)) for _ in range(n)]
+
+    def test_entropy_bits_match_the_reference(self):
+        rng = random.Random(2024)
+        floored = checked = 0
+        for n in self.SIZES:
+            for sample in self.samples(n, rng):
+                expected = reference_entropy(sample)
+                got = differential_entropy(sample)
+                assert got == expected, sample
+                assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+                checked += 1
+                if (expected != MIN_ENTROPY
+                        and silverman_bandwidth(sample) == BANDWIDTH_FLOOR):
+                    floored += 1
+        assert checked == 3240
+        assert floored > 100
+
+    def test_density_bits_match_the_reference(self):
+        rng = random.Random(7)
+        for n in self.SIZES:
+            for sample in self.samples(n, rng, count=30):
+                bw, grid, density = reference_kde(sample)
+                est = kde(sample)
+                assert est.bandwidth == bw
+                assert np.array_equal(est.grid, grid)
+                assert np.array_equal(est.density, density)

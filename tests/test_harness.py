@@ -176,6 +176,20 @@ class TestRunExperiment:
         assert rows["Broken"]["failed"] == "x"
         assert rows["CoTune"]["failed"] == ""
 
+    def test_write_failures_are_isolated(self, tmp_path):
+        config = small_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "small").write_text("")  # a file where a directory goes
+        result = run_experiment(config)
+        assert len(result["failures"]) == 4
+        assert all("trajectory not written" in f["error"]
+                   for f in result["failures"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["runs"] == []
+        assert len(manifest["failures"]) == 4
+        assert (out / "summary.csv").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -390,6 +404,28 @@ class TestCli:
         rows, missing = emit_trajectory_plots_data(out)
         shutil.rmtree(out / "land" / first.stem)
         assert emit_trajectory_plots_data(out) == (rows, missing)
+
+    def test_unnamed_csv_landscape_under_an_absolute_config_path(
+            self, tmp_path):
+        # the landscape is named by its file stem, not its absolute path
+        land_csv = tmp_path / "land.csv"
+        write_csv(synth(seed=1, n_options=6, domain_sizes=2,
+                        shape="additive"), land_csv)
+        config_path = tmp_path / "exp.json"
+        assert config_path.is_absolute()
+        config_path.write_text(json.dumps({
+            "landscapes": [{"csv": "land.csv"}],
+            "requirements": [{"gen": {"d_levels": [0.5], "types": 1}}],
+            "tuners": [{"name": "CoTune", "params": {"budget": 60}},
+                       {"name": "Random", "params": {"budget": 60}}],
+            "out_dir": str(tmp_path / "out"),
+            "repeats": 2,
+        }))
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        assert (out / "summary.csv").exists()
+        assert (out / "manifest.json").exists()
+        assert len(list((out / "land").glob("*/*/seed*.csv"))) == 4
 
     def test_rank_without_a_sweep(self, tmp_path, capsys):
         assert cli_main(["rank", "--results", str(tmp_path)]) == 1

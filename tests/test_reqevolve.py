@@ -239,3 +239,54 @@ class TestEscape:
         for seed in range(30):
             out = escape_case2(p, perfs, 5, random.Random(seed))
             assert validate(out.proposition) == []
+
+
+class TestEntropyInjection:
+    """A memoizing ``entropy`` changes neither the outcome nor the draws."""
+
+    @staticmethod
+    def memo():
+        """(entropy, lookups): differential_entropy behind a dict, and the
+        list of samples it was asked for."""
+        known, lookups = {}, []
+
+        def entropy(sample):
+            lookups.append(sample)
+            if sample not in known:
+                known[sample] = differential_entropy(sample)
+            return known[sample]
+
+        return entropy, lookups
+
+    @staticmethod
+    def check(evolve, p, perfs, seeds):
+        entropy, lookups = TestEntropyInjection.memo()  # shared by all seeds
+        for seed in seeds:
+            plain_rng, memo_rng = random.Random(seed), random.Random(seed)
+            plain = evolve(p, perfs, plain_rng)
+            memo = evolve(p, perfs, memo_rng, entropy=entropy)
+            assert memo.proposition == plain.proposition
+            assert memo.by_entropy == plain.by_entropy
+            assert memo_rng.getstate() == plain_rng.getstate()
+        assert len(lookups) > len(set(lookups))  # the memo was used and hit
+
+    def test_relax(self):
+        self.check(relax_case0, prop_strict(), [3.0, 4.0, 5.0, 6.0, 8.0],
+                   range(30))
+
+    def test_tighten(self):
+        self.check(tighten_case1, prop_relaxed(), [0.5, 1.0, 2.0, 3.5, 5.0],
+                   range(30))
+
+    def test_escape(self):
+        def escape(p, perfs, rng, **kwargs):
+            return escape_case2(p, perfs, 5, rng, **kwargs)
+
+        self.check(escape, prop_strict(), [0.5, 1.2, 1.5, 1.8, 5.0],
+                   range(30))
+
+    def test_escape_from_the_sentinel_to_its_cap(self):
+        def escape(p, perfs, rng, **kwargs):
+            return escape_case2(p, perfs, 5, rng, attempt_cap=50, **kwargs)
+
+        self.check(escape, prop_strict(), [5.0, 6.0, 9.0], range(5))

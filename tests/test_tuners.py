@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotune import entropy as entropy_mod
 from cotune import reqevolve, tuners
 from cotune.entropy import MIN_ENTROPY, differential_entropy
 from cotune.landscape import BudgetMeter, synth
@@ -191,36 +192,51 @@ class TestStagnationEscape:
 
 
 class TestEntropyReuse:
-    def test_no_sample_scored_twice_between_offspring_batches(
-            self, monkeypatch):
-        # a firing case's event, an adopted escape result and the trajectory
-        # row all need p_a's score entropy on pop_a
+    def test_no_sample_reaches_the_kde_twice_in_a_run(self, monkeypatch):
+        # a firing case's event, its requirement evolution, an adopted escape
+        # result and the trajectory rows all need entropies of samples on
+        # pop_a; relax, tighten and escape score them through the run's
+        # memo, so no sample is scored twice anywhere in the run
         land, p_t, params = TestStagnationEscape.strict_setup()
-        real_entropy = tuners.differential_entropy
-        real_offspring = tuners.make_offspring
-        calls = []  # score samples; None marks a make_offspring call
+        samples = []
 
-        def entropy_spy(sample, *args, **kwargs):
-            calls.append(tuple(sample))
-            return real_entropy(sample, *args, **kwargs)
+        def spy(real):
+            def entropy_spy(sample, *args, **kwargs):
+                samples.append(tuple(sample))
+                return real(sample, *args, **kwargs)
+            return entropy_spy
 
-        def offspring_spy(*args, **kwargs):
-            calls.append(None)
-            return real_offspring(*args, **kwargs)
-
-        monkeypatch.setattr(tuners, "differential_entropy", entropy_spy)
-        monkeypatch.setattr(tuners, "make_offspring", offspring_spy)
+        for module in (tuners, reqevolve):
+            monkeypatch.setattr(module, "differential_entropy",
+                                spy(module.differential_entropy))
         r = cotune_run(land, p_t, params, seed=100)
         assert {e["case"] for e in r.events} == {
             reqevolve.CASE0, reqevolve.CASE1, reqevolve.CASE2}
-        assert None in calls
-        window = []
-        for sample in calls + [None]:
-            if sample is None:
-                assert len(window) == len(set(window))
-                window = []
-            else:
-                window.append(sample)
+        assert samples
+        assert len(samples) == len(set(samples))
+
+    def test_every_kde_goes_through_the_tuners_attribute(self, monkeypatch):
+        # the benchmark's tracer counts the KDE where tuners looks it up;
+        # entropy routed around that site would read as zero calls there
+        land, p_t, params = TestStagnationEscape.strict_setup()
+        real_entropy = tuners.differential_entropy
+        calls = []
+
+        def counted(sample, *args, **kwargs):
+            calls.append(sample)
+            return real_entropy(sample, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(
+                "KDE reached around tuners.differential_entropy")
+
+        monkeypatch.setattr(reqevolve, "differential_entropy", forbidden)
+        monkeypatch.setattr(entropy_mod, "differential_entropy", forbidden)
+        monkeypatch.setattr(tuners, "differential_entropy", counted)
+        r = cotune_run(land, p_t, params, seed=100)
+        assert {e["case"] for e in r.events} == {
+            reqevolve.CASE0, reqevolve.CASE1, reqevolve.CASE2}
+        assert calls
 
 
 class TestAblationIdentity:
