@@ -16,12 +16,16 @@ from . import harness, reqgen
 
 
 def _cmd_run(args) -> int:
-    config = harness.ExperimentConfig.from_json(args.config)
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    if args.no_early_stop:
-        config.early_stop = False
-    result = harness.run_experiment(config)
+    try:
+        config = harness.ExperimentConfig.from_json(args.config)
+        if args.jobs is not None:
+            config.jobs = args.jobs
+        if args.no_early_stop:
+            config.early_stop = False
+        result = harness.run_experiment(config)
+    except harness.HarnessError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     harness.emit_trajectory_plots_data(result["out_dir"])
     print(f"results written to {result['out_dir']}")
     for name, count in sorted(result["best_rank_counts"].items()):

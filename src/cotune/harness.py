@@ -149,7 +149,8 @@ def _write_trajectory(path: Path, result) -> None:
 
 def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
-    be written, is logged as a failure, never fatal.
+    be written, is logged as a failure, never fatal. Two landscapes of one
+    name raise HarnessError before any run starts.
 
     Returns a dict with the output directory, the summary rows, the failure
     log and the best-rank roll-up. Deterministic for a fixed seed base.
@@ -161,12 +162,19 @@ def run_experiment(config: ExperimentConfig):
     cells = {}  # (landscape, req) -> {tuner: [best scores]}
 
     work = []
+    names = set()
     for land_entry in config.landscapes:
         try:
             land = _resolve_landscape(land_entry)
         except Exception as exc:  # noqa: BLE001 - sweep isolation
             failures.append({"landscape": str(land_entry), "error": str(exc)})
             continue
+        # results are filed by landscape name: two landscapes of one name
+        # would share trajectory files and summary cells
+        if land.name in names:
+            raise HarnessError(f"two landscapes are named {land.name!r}; "
+                               "give each a distinct 'name'")
+        names.add(land.name)
         try:
             reqs = _resolve_requirements(config.requirements, land)
         except Exception as exc:  # noqa: BLE001

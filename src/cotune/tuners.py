@@ -131,7 +131,7 @@ def _guarded_escape(p_a, perfs_a, entropy, pool_target, rng):
     tuple of scores to its entropy and is passed on to the escape.
     """
     def flat(prop):
-        return entropy(tuple(prop.evaluate(v) for v in perfs_a)) == MIN_ENTROPY
+        return entropy(reqevolve._scores(prop, perfs_a)) == MIN_ENTROPY
 
     kept = reqevolve.EvolutionOutcome(p_a, False)
     if flat(p_a):
@@ -188,7 +188,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
         return entropies[sample]
 
     def entropy_on_pop_a(prop):
-        return entropy(tuple(prop.evaluate(m.perf) for m in pop_a))
+        return entropy(reqevolve._scores(prop, (m.perf for m in pop_a)))
 
     result.best_config, result.best_score = current_best()
     stagnation = 0

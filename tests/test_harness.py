@@ -427,6 +427,51 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert len(list((out / "land").glob("*/*/seed*.csv"))) == 4
 
+    @staticmethod
+    def two_systems_config(tmp_path, landscapes):
+        # two systems whose landscape files share the stem "data"
+        for system, seed in (("x264", 1), ("lrzip", 2)):
+            (tmp_path / system).mkdir()
+            write_csv(synth(seed=seed, n_options=6, domain_sizes=2,
+                            shape="additive"), tmp_path / system / "data.csv")
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "landscapes": landscapes,
+            "requirements": [{"gen": {"d_levels": [0.5], "types": 1}}],
+            "tuners": [{"name": "CoTune", "params": {"budget": 60}},
+                       {"name": "Random", "params": {"budget": 60}}],
+            "out_dir": str(tmp_path / "out"),
+            "repeats": 2,
+        }))
+        return config_path
+
+    def test_landscapes_of_one_name_are_rejected(self, tmp_path, capsys):
+        config_path = self.two_systems_config(
+            tmp_path, [{"csv": "x264/data.csv"}, {"csv": "lrzip/data.csv"}])
+        with pytest.raises(HarnessError, match="'data'"):
+            run_experiment(ExperimentConfig.from_json(config_path))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        assert "distinct 'name'" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not (out / "data").exists()
+        assert not (out / "summary.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_named_landscapes_of_one_stem_are_kept_apart(self, tmp_path):
+        config_path = self.two_systems_config(tmp_path, [
+            {"name": "x264", "csv": "x264/data.csv"},
+            {"name": "lrzip", "csv": "lrzip/data.csv"}])
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        for system in ("x264", "lrzip"):
+            assert len(list((out / system).glob("*/*/seed*.csv"))) == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["runs"]) == 8
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted({r["landscape"] for r in rows}) == ["lrzip", "x264"]
+        assert all(r["runs"] == "2" for r in rows)
+
     def test_rank_without_a_sweep(self, tmp_path, capsys):
         assert cli_main(["rank", "--results", str(tmp_path)]) == 1
         assert "manifest.json" in capsys.readouterr().err
