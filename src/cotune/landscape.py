@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,8 +59,12 @@ class Landscape:
         self.name = name
         if not self.measurements:
             raise LandscapeError("landscape has no measurements")
-        for config in self.measurements:
+        for config, value in self.measurements.items():
             self._check_config(config)
+            if not math.isfinite(value):
+                raise LandscapeError(
+                    f"configuration {config} has non-finite performance {value!r}"
+                )
         values = self.measurements.values()
         self.v_min = min(values)
         self.v_max = max(values)
@@ -148,18 +153,23 @@ def satisfiability_fraction(landscape: Landscape, prop: Proposition) -> float:
     return int(np.count_nonzero(scores > 0)) / len(landscape.measurements)
 
 
-def _parse_cell(cell: str):
+def _column(cells):
+    """(domain, values) of one option column: floats when every cell parses
+    as one, else the stripped text of every cell (a column that mixes
+    numbers and words reads "1" as "1", not 1.0)."""
     try:
-        return float(cell)
+        values = [float(c) for c in cells]
     except ValueError:
-        return cell.strip()
+        values = [c.strip() for c in cells]
+    return tuple(sorted(set(values))), values
 
 
 def load_csv(path, name=None) -> Landscape:
     """Load a tabular landscape: option columns then one performance column.
 
     Option domains are inferred as the sorted distinct values per column;
-    duplicate configuration rows are rejected.
+    duplicate configuration rows and non-finite performance values are
+    rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -181,24 +191,24 @@ def load_csv(path, name=None) -> Landscape:
                 raise LandscapeError(
                     f"{path}: row {lineno}: unparsable performance {row[-1]!r}"
                 ) from None
-            rows.append((lineno, tuple(_parse_cell(c) for c in row[:-1]), perf))
+            if not math.isfinite(perf):
+                raise LandscapeError(
+                    f"{path}: row {lineno}: non-finite performance {row[-1]!r}"
+                )
+            rows.append((lineno, row[:-1], perf))
     if not rows:
         raise LandscapeError(f"{path}: no data rows")
 
-    n_opts = len(header) - 1
-    domains = []
-    for col in range(n_opts):
-        seen = {values[col] for _, values, _ in rows}
-        if any(isinstance(v, str) for v in seen):
-            domain = tuple(sorted(str(v) for v in seen))
-        else:
-            domain = tuple(sorted(seen))
-        domains.append(domain)
-    options = [OptionSpec(header[i], domains[i]) for i in range(n_opts)]
+    options, columns = [], []  # columns[i][r]: row r's index into option i
+    for col in range(len(header) - 1):
+        domain, values = _column([cells[col] for _, cells, _ in rows])
+        options.append(OptionSpec(header[col], domain))
+        index = {v: i for i, v in enumerate(domain)}
+        columns.append([index[v] for v in values])
 
     measurements = {}
-    for lineno, values, perf in rows:
-        config = tuple(domains[i].index(values[i]) for i in range(n_opts))
+    for r, (lineno, _, perf) in enumerate(rows):
+        config = tuple(column[r] for column in columns)
         if config in measurements:
             raise LandscapeError(f"{path}: row {lineno}: duplicate configuration")
         measurements[config] = perf

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from .entropy import differential_entropy
+from .entropy import MIN_ENTROPY, differential_entropy
 from .requirement import Fragment, Proposition, validate
 
 CASE0 = "case0"
@@ -48,15 +48,17 @@ class EvolutionOutcome:
     by_entropy: bool
 
 
-def detect_case(pop_t, pop_a, p_t, p_a, stagnation_counter: int, k: int,
+def detect_case(pop_t, pop_a, stagnation_counter: int, k: int,
                 enable=(True, True, True)):
-    """Classify the tuning state; priority Case 0 > Case 1 > Case 2."""
-    scores_a = [p_a.evaluate(m.perf) for m in pop_a]
-    if enable[0]:
-        scores_t = [p_t.evaluate(m.perf) for m in pop_t]
-        if all(s == 0.0 for s in scores_a) and all(s == 0.0 for s in scores_t):
-            return CASE0
-    if enable[1] and all(s == 1.0 for s in scores_a):
+    """Classify the tuning state; priority Case 0 > Case 1 > Case 2.
+
+    Reads each member's fitness, which is its score under the population's
+    own proposition: p_t for pop_t, p_a for pop_a.
+    """
+    if enable[0] and all(m.fitness == 0.0 for m in pop_a) and all(
+            m.fitness == 0.0 for m in pop_t):
+        return CASE0
+    if enable[1] and all(m.fitness == 1.0 for m in pop_a):
         return CASE1
     if enable[2] and stagnation_counter >= k:
         return CASE2
@@ -289,11 +291,30 @@ def escape_case2(p_a: Proposition, perf_values, pool_target: int,
     # mutants often share score vectors: score each distinct one once
     entropy = entropy or cache(differential_entropy)
     h_current = entropy(_scores(p_a, perf_values))
+
+    def draw():
+        mutant = mutate_proposition(p_a, rng)
+        return mutant, _scores(mutant, perf_values)
+
+    # The pool cannot be full before draw number `head`. A flat mutant (the
+    # MIN_ENTROPY sentinel) among those draws is below a non-flat p_a and is
+    # the earliest pool argmin, so the search ends with it at draw `head`:
+    # the draws after it only advance rng, and no entropy is computed.
+    head = min(pool_target, attempt_cap)
+    drawn = []
+    for attempt in range(head):
+        mutant, scores = draw()
+        if h_current > MIN_ENTROPY and max(scores) == min(scores):
+            for _ in range(attempt + 1, head):
+                mutate_proposition(p_a, rng)
+            return EvolutionOutcome(mutant, head == pool_target)
+        drawn.append((mutant, scores))
+
     pool: list[tuple[float, int, Proposition]] = []
     capped = True
     for attempt in range(attempt_cap):
-        mutant = mutate_proposition(p_a, rng)
-        h = entropy(_scores(mutant, perf_values))
+        mutant, scores = drawn[attempt] if attempt < head else draw()
+        h = entropy(scores)
         pool.append((h, attempt, mutant))
         if len(pool) > pool_target:
             pool.remove(max(pool, key=lambda e: (e[0], -e[1])))

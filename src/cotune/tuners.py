@@ -156,26 +156,29 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     rng, meter, sample = _initial_sample(landscape, params, seed, meter)
     n = params.population_size
     p_a = p_t
-    pop_t = [Member(c, v, p_t.evaluate(v), i) for i, (c, v) in enumerate(sample)]
-    pop_a = list(pop_t)  # p_a starts as p_t
-    order = len(sample)
 
     result = TunerResult(label, None, float("-inf"))
 
+    # p_t never changes, so each configuration is scored with it once, when
+    # first measured; pop_t's fitness and theta read these scores
+    pt_score = {}  # config -> its p_t score, in measurement order
     best_seen = None  # (config, score): the first best of the history
-    scanned = 0  # meter.cache entries already scored into best_seen
 
-    def current_best():
-        nonlocal best_seen, scanned
-        # p_t never changes, so only configurations measured since the last
-        # call need scoring; a tie keeps the earlier one, as max over the
-        # whole cache in measurement order would
-        for config, perf in islice(meter.cache.items(), scanned, None):
-            score = p_t.evaluate(perf)
+    def score_measured():
+        nonlocal best_seen
+        # a tie keeps the earlier configuration, as max over the whole
+        # history in measurement order would
+        for config, perf in islice(meter.cache.items(), len(pt_score), None):
+            score = pt_score[config] = p_t.evaluate(perf)
             if best_seen is None or score > best_seen[1]:
                 best_seen = (config, score)
-        scanned = len(meter.cache)
-        return best_seen
+
+    score_measured()
+    pop_t = [Member(c, v, pt_score[c], i) for i, (c, v) in enumerate(sample)]
+    # pop_a's fitness is always its score under p_a: p_a starts as p_t, and
+    # pop_a is refitted whenever p_a changes
+    pop_a = list(pop_t)
+    order = len(sample)
 
     # a firing case's event, its requirement evolution and the trajectory
     # rows score many of the same samples; each is scored once per run,
@@ -187,19 +190,17 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
             entropies[sample] = differential_entropy(sample)
         return entropies[sample]
 
-    def entropy_on_pop_a(prop):
-        return entropy(reqevolve._scores(prop, (m.perf for m in pop_a)))
+    def entropy_pa():
+        return entropy(tuple(m.fitness for m in pop_a))
 
-    result.best_config, result.best_score = current_best()
+    result.best_config, result.best_score = best_seen
     stagnation = 0
     pa_changed_last = False
-    prev_perfs_a = None  # previous iteration's population snapshots, for the
-    prev_perfs_t = None  # progress terms of theta
 
     def record(iteration, guiding, case, theta):
         result.trajectory.append(TrajectoryRow(
             iteration, meter.consumed, result.best_score,
-            guiding, case or "", theta, entropy_on_pop_a(p_a),
+            guiding, case or "", theta, entropy_pa(),
         ))
 
     record(0, "", "", 0.0)
@@ -209,18 +210,14 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
            and iteration < params.generations):
         iteration += 1
 
-        # (a) guidance probability from both populations' standing
-        if prev_perfs_a is None:
-            improvement_a = improvement_t = 0.0
-        else:
-            improvement_a = max(p_a.evaluate(m.perf) for m in pop_a) - max(
-                p_a.evaluate(v) for v in prev_perfs_a)
-            improvement_t = max(m.fitness for m in pop_t) - max(
-                p_t.evaluate(v) for v in prev_perfs_t)
+        # (a) guidance probability from both populations' standing. The
+        # progress terms are 0: a population holds the same configurations
+        # here as at the end of the previous iteration's (c), so its best
+        # under its own current proposition has not moved since
         theta = compute_theta(
-            _mean([p_t.evaluate(m.perf) for m in pop_a]),
+            _mean([pt_score[m.config] for m in pop_a]),
             _mean([m.fitness for m in pop_t]),
-            improvement_a, improvement_t,
+            0.0, 0.0,
         )
 
         # (b) evolve new configurations under the chosen proposition
@@ -229,28 +226,27 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
         source = pop_a if use_aux else pop_t
         offspring = make_offspring(source, landscape.options, params.ga_params(), rng)
         newcomers = _measure_until_exhausted(landscape, meter, offspring)
+        score_measured()
 
         # (c) dual elitist preservation
         pop_t = preserve_top(
-            pop_t + [Member(c, v, p_t.evaluate(v), order + i)
+            pop_t + [Member(c, v, pt_score[c], order + i)
                      for i, (c, v) in enumerate(newcomers)], n)
         pop_a = preserve_top(
             pop_a + [Member(c, v, p_a.evaluate(v), order + i)
                      for i, (c, v) in enumerate(newcomers)], n)
         order += len(newcomers)
-        prev_perfs_a = [m.perf for m in pop_a]
-        prev_perfs_t = [m.perf for m in pop_t]
 
         # (d) evolve the auxiliary proposition when a case fires
         pa_changed_last = False
         case = reqevolve.detect_case(
-            pop_t, pop_a, p_t, p_a, stagnation, params.stagnation_cap,
+            pop_t, pop_a, stagnation, params.stagnation_cap,
             enable=(params.enable_case0, params.enable_case1, params.enable_case2),
         )
         if case is not None:
             perfs_a = [m.perf for m in pop_a]
             old_p_a = p_a
-            old_entropy = entropy_on_pop_a(old_p_a)
+            old_entropy = entropy_pa()
             reason = None
             try:
                 if case == reqevolve.CASE0:
@@ -267,6 +263,9 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                 outcome = None
                 result.events.append({
                     "iteration": iteration, "case": case, "error": str(exc)})
+            if p_a != old_p_a:
+                pop_a = [replace(m, fitness=p_a.evaluate(m.perf)) for m in pop_a]
+                pa_changed_last = True
             if outcome is not None:
                 event = {
                     "iteration": iteration,
@@ -277,17 +276,14 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                     "old_integral": old_p_a.integral(),
                     "new_integral": p_a.integral(),
                     "old_entropy": old_entropy,
-                    "new_entropy": entropy_on_pop_a(p_a),
+                    "new_entropy": entropy_pa(),
                 }
                 if reason is not None:
                     event["reason"] = reason
                 result.events.append(event)
-            if p_a != old_p_a:
-                pop_a = [replace(m, fitness=p_a.evaluate(m.perf)) for m in pop_a]
-                pa_changed_last = True
 
         # (e) best-on-target tracking and stagnation accounting
-        best_config, best_score = current_best()
+        best_config, best_score = best_seen
         if best_score > result.best_score:
             result.best_config, result.best_score = best_config, best_score
             stagnation = 0

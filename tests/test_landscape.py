@@ -59,6 +59,11 @@ class TestLandscape:
         with pytest.raises(LandscapeError):
             Landscape([OptionSpec("a", (0, 1))], {(0, 1): 1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_performance_rejected(self, value):
+        with pytest.raises(LandscapeError, match=r"\(1,\).*non-finite"):
+            Landscape([OptionSpec("a", (0, 1))], {(0,): 1.0, (1,): value})
+
     def test_random_config_in_domain(self):
         land = tiny_landscape()
         rng = random.Random(3)
@@ -163,6 +168,21 @@ class TestCsv:
         land = load_csv(path)
         assert land.options[0].domain == ("fast", "slow")
         assert land.exhaustive
+
+    def test_column_mixing_numbers_and_text_reads_as_text(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("a,b,perf\nx,1,1.0\n 1 ,1,2.0\nauto,2,3.0\n")
+        land = load_csv(path)
+        assert land.options[0].domain == ("1", "auto", "x")
+        assert land.options[1].domain == (1.0, 2.0)
+        assert land.measurements == {(2, 0): 1.0, (0, 0): 2.0, (1, 1): 3.0}
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_performance_rejected(self, tmp_path, cell):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"a,perf\n0,1.0\n1,{cell}\n")
+        with pytest.raises(LandscapeError, match="row 3: non-finite"):
+            load_csv(path)
 
 
 class TestSynth:

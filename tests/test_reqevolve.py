@@ -40,37 +40,57 @@ def pop_of(prop, perfs):
     return [Member((i,), v, prop.evaluate(v), i) for i, v in enumerate(perfs)]
 
 
+def replay_escape(p, perfs, pool_target, rng):
+    """(proposition, by_entropy) of an independent replay of the escape's
+    pool process on rng's draw stream, every draw scored."""
+    h_current = differential_entropy([p.evaluate(v) for v in perfs])
+    pool = []
+    for attempt in range(50 * pool_target):
+        m = mutate_proposition(p, rng)
+        h = differential_entropy([m.evaluate(v) for v in perfs])
+        pool.append((h, attempt, m))
+        if len(pool) > pool_target:
+            pool.remove(max(pool, key=lambda e: (e[0], -e[1])))
+        if len(pool) >= pool_target and min(e[0] for e in pool) < h_current:
+            capped = False
+            break
+    else:
+        capped = True
+    h, _, best = min(pool, key=lambda e: (e[0], e[1]))
+    return best, not capped and h < h_current
+
+
 class TestDetectCase:
     def test_case0_needs_both_populations_zero(self):
         p = prop_strict()
         zeros = pop_of(p, [5.0, 6.0, 9.0])
         ones = pop_of(p, [0.5, 0.2, 0.1])
-        assert detect_case(zeros, zeros, p, p, 0, 3) == CASE0
-        assert detect_case(ones, zeros, p, p, 0, 3) is None
+        assert detect_case(zeros, zeros, 0, 3) == CASE0
+        assert detect_case(ones, zeros, 0, 3) is None
 
     def test_case1_on_auxiliary_only(self):
         p = prop_strict()
         sat = pop_of(p, [0.5, 0.2, 0.9])
         mixed = pop_of(p, [0.5, 5.0, 9.0])
-        assert detect_case(mixed, sat, p, p, 0, 3) == CASE1
+        assert detect_case(mixed, sat, 0, 3) == CASE1
 
     def test_case2_on_stagnation(self):
         p = prop_strict()
         mixed = pop_of(p, [0.5, 5.0, 9.0])
-        assert detect_case(mixed, mixed, p, p, 3, 3) == CASE2
-        assert detect_case(mixed, mixed, p, p, 2, 3) is None
+        assert detect_case(mixed, mixed, 3, 3) == CASE2
+        assert detect_case(mixed, mixed, 2, 3) is None
 
     def test_priority_case0_first(self):
         p = prop_strict()
         zeros = pop_of(p, [5.0, 6.0, 9.0])
-        assert detect_case(zeros, zeros, p, p, 10, 3) == CASE0
+        assert detect_case(zeros, zeros, 10, 3) == CASE0
 
     def test_ablation_flags(self):
         p = prop_strict()
         zeros = pop_of(p, [5.0, 6.0, 9.0])
-        assert detect_case(zeros, zeros, p, p, 10, 3,
+        assert detect_case(zeros, zeros, 10, 3,
                            enable=(False, True, True)) == CASE2
-        assert detect_case(zeros, zeros, p, p, 0, 3,
+        assert detect_case(zeros, zeros, 0, 3,
                            enable=(False, False, False)) is None
 
 
@@ -185,20 +205,43 @@ class TestEscape:
         pool_target = 5
         for seed in range(10):
             out = escape_case2(p, perfs, pool_target, random.Random(seed))
-            rng = random.Random(seed)
-            h_current = differential_entropy([p.evaluate(v) for v in perfs])
-            pool = []
-            for attempt in range(50 * pool_target):
-                m = mutate_proposition(p, rng)
-                h = differential_entropy([m.evaluate(v) for v in perfs])
-                pool.append((h, attempt, m))
-                if len(pool) > pool_target:
-                    pool.remove(max(pool, key=lambda e: (e[0], -e[1])))
-                if (len(pool) >= pool_target
-                        and min(e[0] for e in pool) < h_current):
-                    break
-            expected = min(pool, key=lambda e: (e[0], e[1]))[2]
+            expected, _ = replay_escape(p, perfs, pool_target,
+                                        random.Random(seed))
             assert out.proposition == expected
+
+    def test_flat_mutant_in_the_first_pool_ends_the_search_unscored(self):
+        # a mutant scoring every value alike has the sentinel entropy, below
+        # a non-flat p_a; among the first pool_target draws it settles the
+        # outcome, so only p_a's sample reaches entropy, and the remaining
+        # draws still advance rng as the full pool process does
+        p = prop_strict()
+        perfs = [1.1, 1.3, 1.5, 1.7, 1.9]  # all on the S fragment
+        p_sample = tuple(p.evaluate(v) for v in perfs)
+        assert differential_entropy(p_sample) > MIN_ENTROPY
+        pool_target = 5
+        settled = 0
+        for seed in range(40):
+            peek = random.Random(seed)
+            head = [mutate_proposition(p, peek) for _ in range(pool_target)]
+            if not any(max(s) == min(s) for s in (
+                    [m.evaluate(v) for v in perfs] for m in head)):
+                continue
+            settled += 1
+            lookups = []
+
+            def entropy(sample):
+                lookups.append(sample)
+                return differential_entropy(sample)
+
+            rng, replay_rng = random.Random(seed), random.Random(seed)
+            out = escape_case2(p, perfs, pool_target, rng, entropy=entropy)
+            expected, by_entropy = replay_escape(p, perfs, pool_target,
+                                                 replay_rng)
+            assert lookups == [p_sample]
+            assert out.proposition == expected
+            assert out.by_entropy == by_entropy
+            assert rng.getstate() == replay_rng.getstate()
+        assert settled > 0
 
     def test_lower_entropy_when_loop_terminates(self):
         p = prop_strict()

@@ -239,6 +239,40 @@ class TestEntropyReuse:
         assert calls
 
 
+class TestScoringOnce:
+    def test_each_measured_configuration_is_scored_with_p_t_once(
+            self, monkeypatch):
+        # with every case disabled p_a stays p_t; the run scores each
+        # distinct measured configuration once (pop_t, theta and the best
+        # read that score) and each newcomer once more as it enters pop_a
+        land = synth(seed=8, n_options=10, domain_sizes=2, shape="rugged")
+        p_t = strict_proposition(land, quantile=0.05)
+        params = TunerParams(early_stop=False, enable_case0=False,
+                             enable_case1=False, enable_case2=False)
+        real_evaluate = Proposition.evaluate
+        real_measure = tuners._measure_until_exhausted
+        evaluated, newcomers = [], []
+
+        def evaluate(self, v):
+            evaluated.append(v)
+            return real_evaluate(self, v)
+
+        def measure_spy(landscape, meter, configs):
+            measured = real_measure(landscape, meter, configs)
+            newcomers.append(len(measured))
+            return measured
+
+        monkeypatch.setattr(Proposition, "evaluate", evaluate)
+        monkeypatch.setattr(tuners, "_measure_until_exhausted", measure_spy)
+        for seed in (0, 1):
+            evaluated.clear()
+            newcomers.clear()
+            meter = BudgetMeter(params.budget)
+            cotune_run(land, p_t, params, seed, meter=meter)
+            assert len(newcomers) >= 10
+            assert len(evaluated) == len(meter.cache) + sum(newcomers)
+
+
 class TestAblationIdentity:
     def test_all_cases_disabled_equals_ga_p(self):
         land = synth(seed=8, n_options=10, domain_sizes=2, shape="rugged")
