@@ -1,8 +1,8 @@
 """Requirement-guided configuration tuning with a co-evolved auxiliary
 performance requirement."""
 
-from .entropy import differential_entropy, kde, silverman_bandwidth
-from .ga import GAParams, Member
+from .entropy import differential_entropy, silverman_bandwidth
+from .ga import Member
 from .landscape import (
     BudgetExhausted,
     BudgetMeter,
@@ -23,7 +23,6 @@ __all__ = [
     "BudgetExhausted",
     "BudgetMeter",
     "Fragment",
-    "GAParams",
     "Landscape",
     "Member",
     "OptionSpec",
@@ -35,7 +34,6 @@ __all__ = [
     "decode",
     "differential_entropy",
     "ga_run",
-    "kde",
     "load_csv",
     "measure",
     "random_run",

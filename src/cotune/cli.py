@@ -26,7 +26,10 @@ def _cmd_run(args) -> int:
     except harness.HarnessError as exc:
         print(exc, file=sys.stderr)
         return 1
-    harness.emit_trajectory_plots_data(result["out_dir"])
+    try:
+        harness.emit_trajectory_plots_data(result["out_dir"])
+    except harness.HarnessError as exc:  # no run left a trajectory
+        print(exc, file=sys.stderr)
     print(f"results written to {result['out_dir']}")
     for name, count in sorted(result["best_rank_counts"].items()):
         print(f"  {name}: rank-1 in {count} cells")
@@ -38,14 +41,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_reqs(args) -> int:
-    land = landscape_mod.load_csv(args.landscape)
-    spec = reqgen.GenSpec(
-        d_levels=tuple(float(x) for x in args.d.split(",")),
-        types=args.types,
-        seed=args.seed,
-    )
-    out_dir = args.out or (Path(args.landscape).stem + "_reqs")
-    entries = reqgen.generate_suite(land, spec, out_dir=out_dir)
+    try:
+        land = landscape_mod.load_csv(args.landscape)
+        spec = reqgen.GenSpec(
+            d_levels=tuple(float(x) for x in args.d.split(",")),
+            types=args.types,
+            seed=args.seed,
+        )
+        out_dir = args.out or (Path(args.landscape).stem + "_reqs")
+        entries = reqgen.generate_suite(land, spec, out_dir=out_dir)
+    except (OSError, ValueError, reqgen.CalibrationError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(f"{len(entries)} requirement(s) written to {out_dir}")
     return 0
 

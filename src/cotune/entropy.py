@@ -8,7 +8,6 @@ configurations are easy to tell apart, low entropy means they all look alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,26 +49,15 @@ def silverman_bandwidth(sample) -> float:
     return max(bw, BANDWIDTH_FLOOR)
 
 
-@dataclass
-class DensityEstimate:
-    """Gaussian KDE of satisfaction scores on a fixed evaluation grid."""
+def _density(arr):
+    """(bandwidth, grid, density) of the Gaussian KDE of a float64 array on
+    GRID_POINTS points of [0 - 3bw, 1 + 3bw].
 
-    sample: np.ndarray
-    bandwidth: float
-    grid: np.ndarray
-    density: np.ndarray
-    degenerate: bool
-
-
-def _density(arr, grid_points):
-    """(bandwidth, grid, density) of the Gaussian KDE of a float64 array.
-
-    The one kernel behind ``kde`` and ``differential_entropy``: the 512 x n
-    matrix of standardized distances is built once and turned into kernel
-    values in place.
+    The GRID_POINTS x n matrix of standardized distances is built once and
+    turned into kernel values in place.
     """
     bw = silverman_bandwidth(arr.tolist())  # Python floats iterate faster
-    grid = np.linspace(0.0 - 3.0 * bw, 1.0 + 3.0 * bw, grid_points)
+    grid = np.linspace(0.0 - 3.0 * bw, 1.0 + 3.0 * bw, GRID_POINTS)
     z = np.subtract.outer(grid, arr)
     z /= bw
     # -0.5 * z * z: scaling by a power of two is exact, so squaring first
@@ -81,17 +69,7 @@ def _density(arr, grid_points):
     return bw, grid, density
 
 
-def kde(sample, grid_points: int = GRID_POINTS) -> DensityEstimate:
-    """Estimate the score density on [0 - 3bw, 1 + 3bw]."""
-    arr = np.asarray(sample, dtype=float)
-    if arr.size == 0:
-        raise EntropyError("empty sample")
-    degenerate = bool(arr.max() == arr.min())
-    bw, grid, density = _density(arr, grid_points)
-    return DensityEstimate(arr, bw, grid, density, degenerate)
-
-
-def differential_entropy(sample, grid_points: int = GRID_POINTS) -> float:
+def differential_entropy(sample) -> float:
     """h = -integral of beta log beta over the score axis (trapezoidal).
 
     Zero-variance samples return the minimal-entropy sentinel so the
@@ -101,7 +79,7 @@ def differential_entropy(sample, grid_points: int = GRID_POINTS) -> float:
         raise EntropyError("empty sample")
     if max(sample) == min(sample):
         return MIN_ENTROPY
-    _, grid, beta = _density(np.asarray(sample, dtype=float), grid_points)
+    _, grid, beta = _density(np.asarray(sample, dtype=float))
     # 0 * log 0 := 0
     positive = beta > 0.0
     integrand = np.where(

@@ -11,22 +11,6 @@ import random
 from dataclasses import dataclass
 
 
-@dataclass
-class GAParams:
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.9
-    population_size: int = 10
-    generations: int = 30
-
-    def __post_init__(self):
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-
-
 @dataclass(frozen=True)
 class Member:
     """An evaluated configuration; order is its measurement sequence number."""
@@ -82,8 +66,11 @@ def mutate(config, rate: float, rng: random.Random, options) -> tuple:
     return tuple(genes)
 
 
-def make_offspring(members, options, params: GAParams, rng: random.Random):
+def make_offspring(members, options, params, rng: random.Random):
     """Produce population_size offspring via tournament/crossover/mutation.
+
+    ``params`` is the run's ``tuners.TunerParams``; its population_size,
+    crossover_rate and mutation_rate apply.
 
     Offspring are deduplicated within the batch (revisiting history is fine,
     the measurement cache makes it free); if the space is too small to fill

@@ -28,6 +28,13 @@ TRAJECTORY_COLUMNS = (
     "guiding_proposition", "case_fired", "theta", "entropy_pa",
 )
 
+# the effect size and significance level a Scott-Knott ESD split must reach
+EFFECT_THRESHOLD = 0.2
+ALPHA = 0.05
+
+# budget spacing of the common grid that trajectories.csv resamples onto
+PLOT_STEP = 10
+
 
 class HarnessError(ValueError):
     pass
@@ -68,22 +75,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        config = cls(**obj)
+        """Load a config file. A file that cannot be read or is not a JSON
+        object, an unknown key, and a landscape or requirement entry that is
+        not an object or names a missing file raise HarnessError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise HarnessError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise HarnessError(f"config {path} is not a JSON object")
+        try:
+            config = cls(**obj)
+        except TypeError as exc:  # an unknown or missing key
+            raise HarnessError(f"config {path}: {exc}") from None
         base = Path(path).parent
-        for entry in config.landscapes:
-            if "csv" in entry:
-                p = base / entry["csv"]
-                if not p.exists():
-                    raise HarnessError(f"landscape file missing: {p}")
-                entry["csv"] = str(p)
-        for entry in config.requirements:
-            if "file" in entry:
-                p = base / entry["file"]
-                if not p.exists():
-                    raise HarnessError(f"requirement file missing: {p}")
-                entry["file"] = str(p)
+        for kind, entries, key in (("landscape", config.landscapes, "csv"),
+                                   ("requirement", config.requirements, "file")):
+            if not (isinstance(entries, list)
+                    and all(isinstance(e, dict) for e in entries)):
+                raise HarnessError(
+                    f"config {path}: {kind}s must be a list of JSON objects")
+            for entry in entries:
+                if key in entry:
+                    p = base / entry[key]
+                    if not p.exists():
+                        raise HarnessError(f"{kind} file missing: {p}")
+                    entry[key] = str(p)
         return config
 
 
@@ -149,12 +167,20 @@ def _write_trajectory(path: Path, result) -> None:
 
 def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
-    be written, is logged as a failure, never fatal. Two landscapes of one
-    name raise HarnessError before any run starts.
+    be written, is logged as a failure, never fatal. A tuner's params that
+    ``TunerParams`` rejects, or two landscapes of one name, raise
+    HarnessError before any run starts.
 
     Returns a dict with the output directory, the summary rows, the failure
     log and the best-rank roll-up. Deterministic for a fixed seed base.
     """
+    run_params = []  # each tuner's TunerParams, in config.tuners order
+    for spec in config.tuners:
+        try:
+            run_params.append(tuners.TunerParams(
+                early_stop=config.early_stop, **spec.params))
+        except (TypeError, ValueError) as exc:
+            raise HarnessError(f"tuner {spec.name!r}: {exc}") from None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = []
@@ -181,15 +207,13 @@ def run_experiment(config: ExperimentConfig):
             failures.append({"landscape": land.name, "error": str(exc)})
             continue
         for req_name, prop in reqs:
-            for spec in config.tuners:
+            for spec, params in zip(config.tuners, run_params):
                 for k in range(config.repeats):
-                    work.append((land, req_name, prop, spec, k))
+                    work.append((land, req_name, prop, spec, params, k))
 
     def execute(item):
-        land, req_name, prop, spec, k = item
+        land, req_name, prop, spec, params, k = item
         try:
-            params = tuners.TunerParams(early_stop=config.early_stop,
-                                        **spec.params)
             result = tuners.run_tuner(spec.kind, land, prop, params,
                                       config.seed_base + k, label=spec.name)
         except Exception as exc:  # noqa: BLE001
@@ -282,25 +306,25 @@ def cohens_d(a, b) -> float:
     return mean_gap / pooled
 
 
-def _split_significant(a, b, test: str, alpha: float) -> bool:
+def _split_significant(a, b, test: str) -> bool:
     if statistics.pstdev(a) == 0.0 and statistics.pstdev(b) == 0.0:
         return statistics.fmean(a) != statistics.fmean(b)
     if test == "kruskal":
         _, p = scipy_stats.kruskal(a, b)
     else:
         _, p = scipy_stats.ttest_ind(a, b, equal_var=False)
-    return bool(p < alpha)
+    return bool(p < ALPHA)
 
 
-def scott_knott_esd(samples: dict, effect_threshold: float = 0.2,
-                    test: str = "welch", alpha: float = 0.05) -> list:
+def scott_knott_esd(samples: dict, test: str = "welch") -> list:
     """Partition tuners into statistically distinct rank groups.
 
     Tuners are sorted by mean score (descending) and recursively split at the
     point maximizing the between-group sum of squares; a split stands only
     when the two sides differ significantly (Welch's t-test by default,
-    Kruskal-Wallis with test="kruskal") with at least a small effect size
-    (Cohen's d >= effect_threshold). Returns groups best-first; rank = index + 1.
+    Kruskal-Wallis with test="kruskal") at p < ALPHA, with at least a small
+    effect size (Cohen's d >= EFFECT_THRESHOLD). Returns groups best-first;
+    rank = index + 1.
     """
     if len(samples) < 2:
         return [sorted(samples)]
@@ -328,17 +352,17 @@ def scott_knott_esd(samples: dict, effect_threshold: float = 0.2,
         left, right = group[:best_cut], group[best_cut:]
         pooled_left = [x for t in left for x in samples[t]]
         pooled_right = [x for t in right for x in samples[t]]
-        if (cohens_d(pooled_left, pooled_right) >= effect_threshold
-                and _split_significant(pooled_left, pooled_right, test, alpha)):
+        if (cohens_d(pooled_left, pooled_right) >= EFFECT_THRESHOLD
+                and _split_significant(pooled_left, pooled_right, test)):
             return partition(left) + partition(right)
         return [group]
 
     return partition(names)
 
 
-def ranks(samples: dict, **kwargs) -> dict:
+def ranks(samples: dict, test: str = "welch") -> dict:
     """Convenience view of scott_knott_esd: tuner -> rank number (1 = best)."""
-    groups = scott_knott_esd(samples, **kwargs)
+    groups = scott_knott_esd(samples, test)
     return {t: i + 1 for i, group in enumerate(groups) for t in group}
 
 
@@ -400,13 +424,13 @@ def rank_results(result_dir, test: str = "welch") -> list:
     return out
 
 
-def emit_trajectory_plots_data(result_dir, step: int = 10,
-                               out_name: str = "trajectories.csv"):
+def emit_trajectory_plots_data(result_dir):
     """Aggregate the latest sweep's trajectories into plot-ready rows.
 
     Each tuner's best-so-far curves (over every cell and seed) are resampled
-    onto a common budget grid and summarized as mean with a normal-theory 95%
-    confidence interval. Returns (rows, missing) and writes the CSV.
+    onto a common budget grid every PLOT_STEP and summarized as mean with a
+    normal-theory 95% confidence interval. Returns (rows, missing) and
+    writes them to ``trajectories.csv`` in result_dir.
     """
     result_dir = Path(result_dir)
     curves = {}  # tuner -> list of [(budget, best), ...]
@@ -418,7 +442,7 @@ def emit_trajectory_plots_data(result_dir, step: int = 10,
 
     max_budget = max(
         pts[-1][0] for runs in curves.values() for pts in runs)
-    grid = list(range(0, max_budget + 1, step))
+    grid = list(range(0, max_budget + 1, PLOT_STEP))
     if grid[-1] != max_budget:
         grid.append(max_budget)
 
@@ -445,7 +469,8 @@ def emit_trajectory_plots_data(result_dir, step: int = 10,
                 half = 0.0
             rows.append([tuner, budget, mean, mean - half, mean + half])
 
-    with open(result_dir / out_name, "w", newline="", encoding="utf-8") as fh:
+    with open(result_dir / "trajectories.csv", "w", newline="",
+              encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tuner", "budget", "mean_best", "ci_low", "ci_high"])
         for row in rows:

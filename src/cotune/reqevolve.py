@@ -244,14 +244,13 @@ def _move_boundary(prop: Proposition, j: int, rng: random.Random) -> Proposition
     return Proposition(tuple(frags))
 
 
-def mutate_proposition(p_a: Proposition, rng: random.Random,
-                       attempt_cap: int = MUTATION_ATTEMPT_CAP) -> Proposition:
+def mutate_proposition(p_a: Proposition, rng: random.Random) -> Proposition:
     """Randomly switch a fragment's kind and/or move a boundary point.
 
     Mutants that break the tiling or monotonicity invariants are redrawn up
-    to attempt_cap times.
+    to MUTATION_ATTEMPT_CAP times.
     """
-    for _ in range(attempt_cap):
+    for _ in range(MUTATION_ATTEMPT_CAP):
         candidate = p_a
         u = rng.random()
         can_move = len(candidate.fragments) >= 2
@@ -271,13 +270,12 @@ def mutate_proposition(p_a: Proposition, rng: random.Random,
         if candidate != p_a and not validate(candidate):
             return candidate
     raise RequirementEvolutionError(
-        f"no valid proposition mutant found in {attempt_cap} attempts"
+        f"no valid proposition mutant found in {MUTATION_ATTEMPT_CAP} attempts"
     )
 
 
 def escape_case2(p_a: Proposition, perf_values, pool_target: int,
-                 rng: random.Random, attempt_cap: int | None = None, *,
-                 entropy=None) -> EvolutionOutcome:
+                 rng: random.Random, *, entropy=None) -> EvolutionOutcome:
     """Random search for a mutant with strictly lower score entropy.
 
     Mutants accumulate in a pool capped at pool_target (highest-entropy
@@ -286,8 +284,6 @@ def escape_case2(p_a: Proposition, perf_values, pool_target: int,
     it terminating when no lower-entropy mutant exists (e.g. p_a already at
     the sentinel), in which case the pool argmin is returned flagged.
     """
-    if attempt_cap is None:
-        attempt_cap = 50 * pool_target
     # mutants often share score vectors: score each distinct one once
     entropy = entropy or cache(differential_entropy)
     h_current = entropy(_scores(p_a, perf_values))
@@ -296,24 +292,24 @@ def escape_case2(p_a: Proposition, perf_values, pool_target: int,
         mutant = mutate_proposition(p_a, rng)
         return mutant, _scores(mutant, perf_values)
 
-    # The pool cannot be full before draw number `head`. A flat mutant (the
-    # MIN_ENTROPY sentinel) among those draws is below a non-flat p_a and is
-    # the earliest pool argmin, so the search ends with it at draw `head`:
-    # the draws after it only advance rng, and no entropy is computed.
-    head = min(pool_target, attempt_cap)
+    # The pool cannot be full before draw number pool_target. A flat mutant
+    # (the MIN_ENTROPY sentinel) among those draws is below a non-flat p_a
+    # and is the earliest pool argmin, so the search ends with it at draw
+    # pool_target: the draws after it only advance rng, and no entropy is
+    # computed.
     drawn = []
-    for attempt in range(head):
+    for attempt in range(pool_target):
         mutant, scores = draw()
         if h_current > MIN_ENTROPY and max(scores) == min(scores):
-            for _ in range(attempt + 1, head):
+            for _ in range(attempt + 1, pool_target):
                 mutate_proposition(p_a, rng)
-            return EvolutionOutcome(mutant, head == pool_target)
+            return EvolutionOutcome(mutant, True)
         drawn.append((mutant, scores))
 
     pool: list[tuple[float, int, Proposition]] = []
     capped = True
-    for attempt in range(attempt_cap):
-        mutant, scores = drawn[attempt] if attempt < head else draw()
+    for attempt in range(50 * pool_target):
+        mutant, scores = drawn[attempt] if attempt < pool_target else draw()
         h = entropy(scores)
         pool.append((h, attempt, mutant))
         if len(pool) > pool_target:

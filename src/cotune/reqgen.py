@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .landscape import Landscape, satisfiability_fraction
@@ -29,6 +29,10 @@ TYPE_PATTERNS = (
 
 BISECTION_STEPS = 200
 
+# a generated proposition's satisfiable fraction may miss d by this fraction
+# of d (or by one configuration, if that is more)
+RELATIVE_TOLERANCE = 0.1
+
 
 class CalibrationError(RuntimeError):
     pass
@@ -36,25 +40,18 @@ class CalibrationError(RuntimeError):
 
 @dataclass
 class GenSpec:
-    fragment_count: int = 5
     d_levels: tuple = DEFAULT_D_LEVELS
     types: int = 3
-    replicates: int = 1
     seed: int = 0
-    relative_tolerance: float = 0.1
 
     def __post_init__(self):
-        if self.fragment_count != 5:
-            raise ValueError("only five-fragment propositions are supported")
         if not all(0.0 < d <= 1.0 for d in self.d_levels):
             raise ValueError("d levels must lie in (0, 1]")
         if not 1 <= self.types <= len(TYPE_PATTERNS):
             raise ValueError(f"types must be between 1 and {len(TYPE_PATTERNS)}")
-        if self.relative_tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
     def tolerance(self, d: float, space_size: int) -> float:
-        return max(self.relative_tolerance * d, 1.0 / space_size)
+        return max(RELATIVE_TOLERANCE * d, 1.0 / space_size)
 
 
 def _shape_scores(pattern, rng: random.Random):

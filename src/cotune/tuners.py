@@ -15,14 +15,16 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from . import reqevolve
-from .entropy import MIN_ENTROPY, differential_entropy
-from .ga import GAParams, Member, make_offspring, preserve_top
+from .entropy import differential_entropy
+from .ga import Member, make_offspring, preserve_top
 from .landscape import BudgetExhausted, BudgetMeter, Landscape, measure
 from .requirement import Proposition
 
 
 @dataclass
 class TunerParams:
+    """The search parameters of one tuner run."""
+
     budget: int = 300
     population_size: int = 10
     generations: int = 30
@@ -35,13 +37,13 @@ class TunerParams:
     enable_case1: bool = True
     enable_case2: bool = True
 
-    def ga_params(self) -> GAParams:
-        return GAParams(
-            mutation_rate=self.mutation_rate,
-            crossover_rate=self.crossover_rate,
-            population_size=self.population_size,
-            generations=self.generations,
-        )
+    def __post_init__(self):
+        if not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError("mutation_rate must be in [0, 1]")
+        if not 0.0 <= self.crossover_rate <= 1.0:
+            raise ValueError("crossover_rate must be in [0, 1]")
+        if self.population_size < 2:
+            raise ValueError("population_size must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -118,28 +120,29 @@ def _measure_until_exhausted(landscape, meter, configs):
     return measured
 
 
-def _guarded_escape(p_a, perfs_a, entropy, pool_target, rng):
+def _guarded_escape(p_a, pop_a, entropy, pool_target, rng):
     """Case-2 escape that never leaves p_a scoring the population flat.
 
-    A p_a whose score ``entropy`` on the population is the MIN_ENTROPY
-    sentinel gives every member the same score, and no mutant has strictly
-    lower entropy: the search could only run to its attempt cap, so it is
-    skipped without drawing from rng. A result that scores the population
-    flat discriminates nothing and is rejected. Either way p_a is kept, the
-    outcome is flagged and the second element of the returned pair gives the
-    reason; it is None when the escape result is adopted. ``entropy`` maps a
-    tuple of scores to its entropy and is passed on to the escape.
+    ``pop_a``'s fitness is p_a's score of each member. When every member has
+    the same score, p_a is at the MIN_ENTROPY sentinel and no mutant has
+    strictly lower entropy: the search could only run to its attempt cap, so
+    it is skipped without drawing from rng. A result that scores the
+    population flat discriminates nothing and is rejected. Either way p_a is
+    kept, the outcome is flagged and the second element of the returned pair
+    gives the reason; it is None when the escape result is adopted.
+    ``entropy`` maps a tuple of scores to its entropy and is passed on to
+    the escape.
     """
-    def flat(prop):
-        return entropy(reqevolve._scores(prop, perfs_a)) == MIN_ENTROPY
-
     kept = reqevolve.EvolutionOutcome(p_a, False)
-    if flat(p_a):
+    fitness = [m.fitness for m in pop_a]
+    if max(fitness) == min(fitness):
         return kept, "p_a scores pop_a with zero variance; escape skipped"
+    perfs_a = [m.perf for m in pop_a]
     outcome = reqevolve.escape_case2(p_a, perfs_a, pool_target, rng,
                                      entropy=entropy)
     mutant = outcome.proposition
-    if flat(mutant):
+    scores = reqevolve._scores(mutant, perfs_a)
+    if max(scores) == min(scores):
         return kept, (f"escape result {mutant.encode()} scores pop_a with "
                       "zero variance; rejected")
     return outcome, None
@@ -224,7 +227,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
         use_aux = rng.random() < theta or pa_changed_last
         guiding = "p_a" if use_aux else "p_t"
         source = pop_a if use_aux else pop_t
-        offspring = make_offspring(source, landscape.options, params.ga_params(), rng)
+        offspring = make_offspring(source, landscape.options, params, rng)
         newcomers = _measure_until_exhausted(landscape, meter, offspring)
         score_measured()
 
@@ -257,7 +260,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                         p_a, perfs_a, rng, entropy=entropy)
                 else:
                     outcome, reason = _guarded_escape(
-                        p_a, perfs_a, entropy, n, rng)
+                        p_a, pop_a, entropy, n, rng)
                 p_a = outcome.proposition
             except reqevolve.RequirementEvolutionError as exc:
                 outcome = None
@@ -303,9 +306,9 @@ def ga_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     with every case disabled; the raw GA_r optimizes negated performance in
     a single population and reports the target score of its best point."""
     if objective == "satisfaction":
-        ga_params = replace(
+        no_cases = replace(
             params, enable_case0=False, enable_case1=False, enable_case2=False)
-        return cotune_run(landscape, p_t, ga_params, seed, label=label or "GA_p")
+        return cotune_run(landscape, p_t, no_cases, seed, label=label or "GA_p")
     if objective != "raw":
         raise ValueError(f"unknown objective {objective!r}")
     return _ga_raw_run(landscape, p_t, params, seed, label or "GA_r")
@@ -333,7 +336,7 @@ def _ga_raw_run(landscape, p_t, params, seed, label):
     while (not stop and meter.consumed + n < params.budget
            and iteration < params.generations):
         iteration += 1
-        offspring = make_offspring(pop, landscape.options, params.ga_params(), rng)
+        offspring = make_offspring(pop, landscape.options, params, rng)
         newcomers = [
             Member(c, v, -v, order + i) for i, (c, v) in enumerate(
                 _measure_until_exhausted(landscape, meter, offspring))]

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from cotune.ga import (
-    GAParams,
     Member,
     make_offspring,
     mutate,
@@ -14,6 +13,7 @@ from cotune.ga import (
     uniform_crossover,
 )
 from cotune.landscape import OptionSpec
+from cotune.tuners import TunerParams
 
 OPTIONS = [OptionSpec("a", (0, 1, 2)), OptionSpec("b", (0, 1)),
            OptionSpec("c", (0, 1, 2, 3))]
@@ -26,7 +26,7 @@ def make_pop(fitnesses):
 
 class TestParams:
     def test_defaults(self):
-        p = GAParams()
+        p = TunerParams()
         assert p.mutation_rate == 0.1
         assert p.crossover_rate == 0.9
         assert p.population_size == 10
@@ -34,9 +34,11 @@ class TestParams:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GAParams(mutation_rate=1.5)
+            TunerParams(mutation_rate=1.5)
         with pytest.raises(ValueError):
-            GAParams(population_size=1)
+            TunerParams(crossover_rate=1.5)
+        with pytest.raises(ValueError):
+            TunerParams(population_size=1)
 
 
 class TestTournament:
@@ -110,7 +112,7 @@ class TestMutate:
 class TestOffspring:
     def test_batch_size_and_domains(self):
         pop = make_pop([0.1, 0.5, 0.9, 0.3])
-        params = GAParams(population_size=10)
+        params = TunerParams(population_size=10)
         rng = random.Random(2)
         batch = make_offspring(pop, OPTIONS, params, rng)
         assert len(batch) == 10
@@ -120,20 +122,20 @@ class TestOffspring:
 
     def test_in_batch_dedup(self):
         pop = make_pop([0.1, 0.5, 0.9, 0.3])
-        params = GAParams(population_size=10)
+        params = TunerParams(population_size=10)
         batch = make_offspring(pop, OPTIONS, params, random.Random(2))
         assert len(set(batch)) == 10
 
     def test_tiny_space_falls_back_to_duplicates(self):
         options = [OptionSpec("a", (0, 1))]
         pop = [Member((0,), 0.0, 0.5, 0), Member((1,), 1.0, 0.4, 1)]
-        params = GAParams(population_size=10)
+        params = TunerParams(population_size=10)
         batch = make_offspring(pop, options, params, random.Random(3))
         assert len(batch) == 10  # only 2 distinct configs exist
 
     def test_deterministic(self):
         pop = make_pop([0.1, 0.5, 0.9, 0.3])
-        params = GAParams()
+        params = TunerParams()
         a = make_offspring(pop, OPTIONS, params, random.Random(6))
         b = make_offspring(pop, OPTIONS, params, random.Random(6))
         assert a == b

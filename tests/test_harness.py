@@ -207,7 +207,7 @@ class TestTrajectoryData:
     def test_aggregation_matches_manual(self, tmp_path):
         run_experiment(small_config(tmp_path, repeats=3))
         out = tmp_path / "out"
-        rows, missing = emit_trajectory_plots_data(out, step=10)
+        rows, missing = emit_trajectory_plots_data(out)
         assert missing == []
         # recompute one point by hand for CoTune at budget 20
         curves = []
@@ -223,7 +223,7 @@ class TestTrajectoryData:
 
     def test_mean_curve_non_decreasing(self, tmp_path):
         run_experiment(small_config(tmp_path, repeats=3))
-        rows, _ = emit_trajectory_plots_data(tmp_path / "out", step=10)
+        rows, _ = emit_trajectory_plots_data(tmp_path / "out")
         for tuner in {r[0] for r in rows}:
             curve = [r[2] for r in rows if r[0] == tuner]
             assert curve == sorted(curve)
@@ -236,7 +236,7 @@ class TestTrajectoryData:
         # drop one trajectory so exactly one run remains
         files = sorted((tmp_path / "out").glob("*/*/*/seed*.csv"))
         files[1].unlink()
-        rows, missing = emit_trajectory_plots_data(tmp_path / "out", step=10)
+        rows, missing = emit_trajectory_plots_data(tmp_path / "out")
         assert missing == [str(files[1])]
         for row in rows:
             assert row[3] == row[2] == row[4]
@@ -317,6 +317,42 @@ class TestTunerProtocol:
         assert result.tuner == "Mine"
 
 
+def config_obj(tmp_path, **changes):
+    """A small valid config writing under tmp_path / "out", with changes."""
+    return {
+        "landscapes": [{"synth": {"seed": 1, "n_options": 6,
+                                  "domain_sizes": 2, "shape": "additive"}}],
+        "requirements": [{"gen": {"d_levels": [0.5], "types": 1}}],
+        "tuners": [{"name": "CoTune", "params": {"budget": 60}},
+                   {"name": "Random", "params": {"budget": 60}}],
+        "out_dir": str(tmp_path / "out"),
+        "repeats": 2,
+        **changes,
+    }
+
+
+# case -> (config file content from tmp_path, or None for no file; what the
+# error names)
+MALFORMED = {
+    "unknown key": (lambda tmp: json.dumps(config_obj(tmp, repeat=3)),
+                    "'repeat'"),
+    "unknown tuner key": (lambda tmp: json.dumps(config_obj(tmp, tuners=[
+        {"name": "CoTune", "param": {"budget": 60}}])), "'param'"),
+    "not an object": (lambda tmp: json.dumps([1, 2]), "not a JSON object"),
+    "landscape not an object": (lambda tmp: json.dumps(config_obj(
+        tmp, landscapes=["land.csv"])), "list of JSON objects"),
+    "not JSON": (lambda tmp: "{", "cannot read"),
+    "missing file": (lambda tmp: None, "cannot read"),
+}
+
+
+def write_config(tmp_path, content):
+    path = tmp_path / "exp.json"
+    if content is not None:
+        path.write_text(content)
+    return path
+
+
 class TestConfigLoading:
     def test_missing_file_rejected(self, tmp_path):
         config_path = tmp_path / "exp.json"
@@ -337,6 +373,26 @@ class TestConfigLoading:
     def test_unknown_tuner_kind(self):
         with pytest.raises(HarnessError):
             TunerSpec("Mystery")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_config_rejected(self, tmp_path, case):
+        content, match = MALFORMED[case]
+        config_path = write_config(tmp_path, content(tmp_path))
+        with pytest.raises(HarnessError, match=match):
+            ExperimentConfig.from_json(config_path)
+
+    @pytest.mark.parametrize("params, match", [
+        ({"popsize": 4}, "popsize"),
+        ({"mutation_rate": 1.5}, "mutation_rate"),
+        ({"population_size": 1}, "population_size"),
+    ])
+    def test_bad_tuner_params_rejected_before_any_run(
+            self, tmp_path, params, match):
+        config = small_config(tmp_path)
+        config.tuners[1].params = params
+        with pytest.raises(HarnessError, match=match):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -471,6 +527,56 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert sorted({r["landscape"] for r in rows}) == ["lrzip", "x264"]
         assert all(r["runs"] == "2" for r in rows)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_run_on_a_malformed_config(self, tmp_path, capsys, case):
+        content, _ = MALFORMED[case]
+        config_path = write_config(tmp_path, content(tmp_path))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_run_with_an_unknown_tuner_param(self, tmp_path, capsys):
+        config = config_obj(tmp_path, tuners=[
+            {"name": "CoTune", "params": {"budget": 60, "popsize": 4}}])
+        config_path = write_config(tmp_path, json.dumps(config))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "'CoTune'" in err and "popsize" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_where_every_run_fails(self, tmp_path, capsys):
+        config = config_obj(tmp_path, tuners=[
+            {"name": "Broken", "kind": "cotune", "params": {"budget": 5}}])
+        config_path = write_config(tmp_path, json.dumps(config))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert "2 run(s) failed" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert len(manifest["failures"]) == 2
+
+    def test_gen_reqs_on_a_missing_csv(self, tmp_path, capsys):
+        assert cli_main(["gen-reqs", "--landscape",
+                         str(tmp_path / "nope.csv")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "nope.csv" in err
+
+    def test_gen_reqs_on_an_uncalibratable_landscape(self, tmp_path, capsys):
+        # half of this plateau landscape cannot be cut off within tolerance
+        land_csv = tmp_path / "plateau.csv"
+        assert cli_main(["synth", "--seed", "8", "--options", "10",
+                         "--shape", "plateau", "--out", str(land_csv)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "reqs"
+        assert cli_main(["gen-reqs", "--landscape", str(land_csv),
+                         "--d", "0.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cannot realize d=0.5" in err
+        assert not out.exists()
 
     def test_rank_without_a_sweep(self, tmp_path, capsys):
         assert cli_main(["rank", "--results", str(tmp_path)]) == 1

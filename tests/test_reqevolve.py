@@ -259,7 +259,7 @@ class TestEscape:
         perfs = [5.0, 6.0, 9.0]  # all scores 0: already minimal entropy
         assert differential_entropy(
             [p.evaluate(v) for v in perfs]) == MIN_ENTROPY
-        out = escape_case2(p, perfs, 5, random.Random(1), attempt_cap=50)
+        out = escape_case2(p, perfs, 5, random.Random(1))
         assert not out.by_entropy
 
     def test_constant_score_mutant_wins(self):
@@ -330,6 +330,6 @@ class TestEntropyInjection:
 
     def test_escape_from_the_sentinel_to_its_cap(self):
         def escape(p, perfs, rng, **kwargs):
-            return escape_case2(p, perfs, 5, rng, attempt_cap=50, **kwargs)
+            return escape_case2(p, perfs, 5, rng, **kwargs)
 
         self.check(escape, prop_strict(), [5.0, 6.0, 9.0], range(5))

@@ -29,7 +29,6 @@ def uniform_landscape():
 class TestGenSpec:
     def test_defaults(self):
         spec = GenSpec()
-        assert spec.fragment_count == 5
         assert len(spec.d_levels) == 6
         assert spec.types == 3
 

@@ -190,6 +190,35 @@ class TestStagnationEscape:
         assert all(h > MIN_ENTROPY for h in starts)
         assert skipped > 0
 
+    def test_skipped_escape_scores_nothing(self, monkeypatch):
+        # pop_a's fitness already holds p_a's scores, so deciding to skip
+        # the escape needs no Proposition.evaluate call
+        land, p_t, params = self.strict_setup()
+        evaluations = 0
+        real_evaluate = Proposition.evaluate
+
+        def counted(self, v):
+            nonlocal evaluations
+            evaluations += 1
+            return real_evaluate(self, v)
+
+        real_guard = tuners._guarded_escape
+        skipped_costs = []
+
+        def guard(*args, **kwargs):
+            before = evaluations
+            outcome, reason = real_guard(*args, **kwargs)
+            if reason is not None and "skipped" in reason:
+                skipped_costs.append(evaluations - before)
+            return outcome, reason
+
+        monkeypatch.setattr(Proposition, "evaluate", counted)
+        monkeypatch.setattr(tuners, "_guarded_escape", guard)
+        for seed in self.SEEDS:
+            cotune_run(land, p_t, params, seed=seed)
+        assert skipped_costs
+        assert skipped_costs == [0] * len(skipped_costs)
+
 
 class TestEntropyReuse:
     def test_no_sample_reaches_the_kde_twice_in_a_run(self, monkeypatch):
