@@ -71,13 +71,17 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    land = landscape_mod.synth(
-        seed=args.seed,
-        n_options=args.options,
-        domain_sizes=args.domain_size,
-        shape=args.shape,
-    )
-    landscape_mod.write_csv(land, args.out)
+    try:
+        land = landscape_mod.synth(
+            seed=args.seed,
+            n_options=args.options,
+            domain_sizes=args.domain_size,
+            shape=args.shape,
+        )
+        landscape_mod.write_csv(land, args.out)
+    except (OSError, landscape_mod.LandscapeError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(f"{land.space_size} configurations written to {args.out}")
     return 0
 

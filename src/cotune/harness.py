@@ -105,22 +105,37 @@ class ExperimentConfig:
         return config
 
 
+# the keys of a landscape entry's "synth" object: landscape.synth's arguments
+SYNTH_KEYS = ("seed", "n_options", "domain_sizes", "shape")
+
+
+def _check_landscape_entry(entry) -> None:
+    """Raise HarnessError for an entry that names neither a CSV nor a
+    synth spec, or whose synth spec lacks one of SYNTH_KEYS or has another
+    key."""
+    if "csv" in entry:
+        return
+    if "synth" not in entry:
+        raise HarnessError(f"landscape entry needs 'csv' or 'synth': {entry}")
+    spec = entry["synth"]
+    if not isinstance(spec, dict):
+        raise HarnessError(f"landscape entry {entry}: 'synth' must be an "
+                           "object")
+    missing = [key for key in SYNTH_KEYS if key not in spec]
+    unknown = sorted(set(spec) - set(SYNTH_KEYS))
+    if missing or unknown:
+        raise HarnessError(
+            f"landscape entry {entry}: 'synth' needs exactly the keys "
+            f"{', '.join(SYNTH_KEYS)}; missing: {missing}, unknown: {unknown}")
+
+
 def _resolve_landscape(entry) -> landscape_mod.Landscape:
     if "csv" in entry:
         # an unnamed CSV landscape is named by its file stem: its path may be
         # absolute, and out_dir / name would then drop out_dir
         return landscape_mod.load_csv(
             entry["csv"], name=entry.get("name") or Path(entry["csv"]).stem)
-    if "synth" in entry:
-        spec = dict(entry["synth"])
-        return landscape_mod.synth(
-            seed=spec["seed"],
-            n_options=spec["n_options"],
-            domain_sizes=spec["domain_sizes"],
-            shape=spec["shape"],
-            name=entry.get("name"),
-        )
-    raise HarnessError(f"landscape entry needs 'csv' or 'synth': {entry}")
+    return landscape_mod.synth(**entry["synth"], name=entry.get("name"))
 
 
 def _resolve_requirements(entries, land):
@@ -167,13 +182,16 @@ def _write_trajectory(path: Path, result) -> None:
 
 def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
-    be written, is logged as a failure, never fatal. A tuner's params that
+    be written, is logged as a failure, never fatal. A landscape entry that
+    ``_check_landscape_entry`` rejects, a tuner's params that
     ``TunerParams`` rejects, or two landscapes of one name, raise
     HarnessError before any run starts.
 
     Returns a dict with the output directory, the summary rows, the failure
     log and the best-rank roll-up. Deterministic for a fixed seed base.
     """
+    for entry in config.landscapes:
+        _check_landscape_entry(entry)
     run_params = []  # each tuner's TunerParams, in config.tuners order
     for spec in config.tuners:
         try:

@@ -68,6 +68,7 @@ class Landscape:
         values = self.measurements.values()
         self.v_min = min(values)
         self.v_max = max(values)
+        self.space_size = math.prod(len(opt.domain) for opt in self.options)
 
     def _check_config(self, config):
         if len(config) != len(self.options):
@@ -77,13 +78,6 @@ class Landscape:
                 raise LandscapeError(
                     f"index {idx} out of range for option {opt.name!r}"
                 )
-
-    @property
-    def space_size(self) -> int:
-        size = 1
-        for opt in self.options:
-            size *= len(opt.domain)
-        return size
 
     @property
     def exhaustive(self) -> bool:
@@ -243,16 +237,26 @@ def synth(
     shape "additive": independent per-option contributions.
     shape "rugged": each option interacts with two random neighbors.
     shape "plateau": additive base with the lower ~60% collapsed to one value.
+
+    Configurations are keyed in ``itertools.product`` order. Every value
+    comes from one ``random.Random(seed)``, drawn with ``uniform(0.0, 10.0)``:
+    additive and plateau draw each option's contributions, option by option;
+    rugged first samples each option's two neighbours, then draws one value
+    per (option, neighbours) table key in the order in which a walk over the
+    configurations, and within one over the options, first meets the key. A
+    value is its options' terms added left to right from 0.0 (rugged then
+    divides by ``n_options``), so it does not depend on the interpreter:
+    ``sum()`` over floats, which compensates from Python 3.12 on, would.
     """
     if shape not in SHAPES:
         raise LandscapeError(f"unknown shape {shape!r}")
+    if n_options < 1:
+        raise LandscapeError("a space needs at least one option")
     if isinstance(domain_sizes, int):
         domain_sizes = [domain_sizes] * n_options
     if len(domain_sizes) != n_options:
         raise LandscapeError("one domain size required per option")
-    size = 1
-    for s in domain_sizes:
-        size *= s
+    size = math.prod(domain_sizes)
     if size > enumeration_cap:
         raise LandscapeError(
             f"space of {size} configurations exceeds enumeration cap {enumeration_cap}"
@@ -263,41 +267,54 @@ def synth(
         OptionSpec(f"o{i}", tuple(range(domain_sizes[i]))) for i in range(n_options)
     ]
 
+    # values are built on the grid of the space's options in itertools.product
+    # order (the last option varies fastest); options with one value are left
+    # out of it, so a space of any number of options fits numpy's rank limit
+    grid = [s for s in domain_sizes if s > 1]
+
+    def spread(table, at):
+        """A table over the options ``at`` (its axes, in ascending option
+        order) as an array that broadcasts over the grid."""
+        return table.reshape([s if j in at else 1
+                              for j, s in enumerate(domain_sizes) if s > 1])
+
+    values = np.zeros(grid)
     if shape == "rugged":
         neighbors = []
         for i in range(n_options):
             others = [j for j in range(n_options) if j != i]
             neighbors.append(tuple(sorted(rng.sample(others, min(2, len(others))))))
-        tables = [{} for _ in range(n_options)]
+        # option i's table holds one draw per value of (config[i],
+        # config[n1], config[n2]), its axes in ascending option order. Every
+        # key occurs, first in the configuration that holds 0 at every other
+        # option; draws follow the order in which a walk over the
+        # configurations, and within one over the options, first meets a key.
+        strides = [math.prod(domain_sizes[i + 1:]) for i in range(n_options)]
+        axes = [sorted((i,) + neighbors[i]) for i in range(n_options)]
+        tables, firsts = [], []
+        for i, at in enumerate(axes):
+            tables.append(np.empty([domain_sizes[j] for j in at]))
+            for key in np.ndindex(tables[i].shape):
+                first = sum(k * strides[j] for k, j in zip(key, at))
+                firsts.append((first, i, key))
+        for _, i, key in sorted(firsts):
+            tables[i][key] = rng.uniform(0.0, 10.0)
+        for table, at in zip(tables, axes):
+            values += spread(table, at)
+        values /= n_options
     else:
-        contrib = [
-            [rng.uniform(0.0, 10.0) for _ in range(domain_sizes[i])]
-            for i in range(n_options)
-        ]
+        for i in range(n_options):
+            contrib = [rng.uniform(0.0, 10.0) for _ in range(domain_sizes[i])]
+            values += spread(np.array(contrib), (i,))
 
-    measurements = {}
-    for config in itertools.product(*(range(s) for s in domain_sizes)):
-        if shape == "rugged":
-            total = 0.0
-            for i in range(n_options):
-                key = (config[i],) + tuple(config[j] for j in neighbors[i])
-                table = tables[i]
-                if key not in table:
-                    table[key] = rng.uniform(0.0, 10.0)
-                total += table[key]
-            measurements[config] = total / n_options
-        else:
-            measurements[config] = sum(
-                contrib[i][config[i]] for i in range(n_options)
-            )
-
+    values = values.ravel()
     if shape == "plateau":
-        values = sorted(measurements.values())
-        modal = values[int(0.6 * len(values))]
-        measurements = {
-            c: (modal if v <= modal else v) for c, v in measurements.items()
-        }
+        k = int(0.6 * size)
+        modal = np.partition(values, k)[k]
+        values[values <= modal] = modal
 
+    measurements = dict(zip(itertools.product(*(range(s) for s in domain_sizes)),
+                            values.tolist()))
     return Landscape(
         options, measurements, name=name or f"synth-{shape}-{seed}"
     )

@@ -128,15 +128,16 @@ def _guarded_escape(p_a, pop_a, entropy, pool_target, rng):
     strictly lower entropy: the search could only run to its attempt cap, so
     it is skipped without drawing from rng. A result that scores the
     population flat discriminates nothing and is rejected. Either way p_a is
-    kept, the outcome is flagged and the second element of the returned pair
-    gives the reason; it is None when the escape result is adopted.
-    ``entropy`` maps a tuple of scores to its entropy and is passed on to
-    the escape.
+    kept, the outcome is flagged and the second element of the returned
+    triple gives the reason. When the escape result is adopted the reason is
+    None and the third element holds its scores on ``pop_a``, else it is
+    None. ``entropy`` maps a tuple of scores to its entropy and is passed on
+    to the escape.
     """
     kept = reqevolve.EvolutionOutcome(p_a, False)
     fitness = [m.fitness for m in pop_a]
     if max(fitness) == min(fitness):
-        return kept, "p_a scores pop_a with zero variance; escape skipped"
+        return kept, "p_a scores pop_a with zero variance; escape skipped", None
     perfs_a = [m.perf for m in pop_a]
     outcome = reqevolve.escape_case2(p_a, perfs_a, pool_target, rng,
                                      entropy=entropy)
@@ -144,8 +145,8 @@ def _guarded_escape(p_a, pop_a, entropy, pool_target, rng):
     scores = reqevolve._scores(mutant, perfs_a)
     if max(scores) == min(scores):
         return kept, (f"escape result {mutant.encode()} scores pop_a with "
-                      "zero variance; rejected")
-    return outcome, None
+                      "zero variance; rejected"), None
+    return outcome, None, scores
 
 
 def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
@@ -251,6 +252,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
             old_p_a = p_a
             old_entropy = entropy_pa()
             reason = None
+            fitness = None  # the new p_a's scores on pop_a, if already known
             try:
                 if case == reqevolve.CASE0:
                     outcome = reqevolve.relax_case0(
@@ -259,7 +261,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                     outcome = reqevolve.tighten_case1(
                         p_a, perfs_a, rng, entropy=entropy)
                 else:
-                    outcome, reason = _guarded_escape(
+                    outcome, reason, fitness = _guarded_escape(
                         p_a, pop_a, entropy, n, rng)
                 p_a = outcome.proposition
             except reqevolve.RequirementEvolutionError as exc:
@@ -267,7 +269,9 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                 result.events.append({
                     "iteration": iteration, "case": case, "error": str(exc)})
             if p_a != old_p_a:
-                pop_a = [replace(m, fitness=p_a.evaluate(m.perf)) for m in pop_a]
+                if fitness is None:
+                    fitness = [p_a.evaluate(m.perf) for m in pop_a]
+                pop_a = [replace(m, fitness=f) for m, f in zip(pop_a, fitness)]
                 pa_changed_last = True
             if outcome is not None:
                 event = {

@@ -395,6 +395,43 @@ class TestConfigLoading:
         assert not (tmp_path / "out").exists()
 
 
+# case -> (landscape entry, what the error names)
+BAD_LANDSCAPES = {
+    "synth without n_options": ({"synth": {"seed": 1}},
+                                r"missing: \['n_options', 'domain_sizes', "
+                                r"'shape'\]"),
+    "synth with an unknown key": (
+        {"synth": {"seed": 1, "n_options": 6, "domain_sizes": 2,
+                   "shape": "additive", "size": 64}},
+        r"unknown: \['size'\]"),
+    "synth not an object": ({"synth": [1, 6, 2, "additive"]},
+                            "must be an object"),
+    "neither csv nor synth": ({"name": "x"}, "needs 'csv' or 'synth'"),
+}
+
+
+class TestLandscapeEntries:
+    @pytest.mark.parametrize("case", sorted(BAD_LANDSCAPES))
+    def test_bad_landscape_entry_rejected_before_any_run(self, tmp_path,
+                                                         case):
+        entry, match = BAD_LANDSCAPES[case]
+        config = ExperimentConfig(**config_obj(tmp_path, landscapes=[
+            config_obj(tmp_path)["landscapes"][0], entry]))
+        with pytest.raises(HarnessError, match=match):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_incomplete_synth_entry_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, json.dumps(config_obj(
+            tmp_path, landscapes=[{"synth": {"seed": 1}}])))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "n_options" in captured.err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCli:
     def test_synth_gen_run_rank(self, tmp_path, capsys):
         land_csv = tmp_path / "land.csv"
@@ -576,6 +613,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "cannot realize d=0.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options, match", [
+        ("30", "exceeds enumeration cap"), ("0", "at least one option")])
+    def test_synth_of_a_space_it_cannot_build(self, tmp_path, capsys,
+                                              options, match):
+        out = tmp_path / "land.csv"
+        assert cli_main(["synth", "--seed", "1", "--options", options,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert match in err
         assert not out.exists()
 
     def test_rank_without_a_sweep(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for landscape loading, budget metering and synthetic generators."""
 
+import hashlib
 import math
 import random
 
@@ -223,3 +224,60 @@ class TestSynth:
         land = synth(seed=3, n_options=3, domain_sizes=[2, 3, 4], shape="rugged")
         assert land.space_size == 24
         assert land.exhaustive
+
+
+# Option layouts of the pinned synth spaces: uniform, mixed, with a size-1
+# option, and the one- and two-option cases of the rugged neighbour draw.
+SYNTH_LAYOUTS = (
+    (9, 2), (4, 3), (5, [4, 3, 1, 2, 3]), (3, [1, 3, 2]), (4, [2, 1, 1, 5]),
+    (1, [5]), (2, [3, 4]),
+)
+SYNTH_SEEDS = (0, 1, 7, 42)
+
+
+def synth_digest(shape):
+    """sha256 over the key order and the float.hex of every value of the
+    spaces of one shape, the name and the extremes."""
+    h = hashlib.sha256()
+    for seed in SYNTH_SEEDS:
+        for n_options, sizes in SYNTH_LAYOUTS:
+            land = synth(seed, n_options, sizes, shape)
+            h.update(f"{land.name}|{land.v_min.hex()}|{land.v_max.hex()}\n"
+                     .encode())
+            for config, value in land.measurements.items():
+                h.update(f"{config}:{value.hex()}\n".encode())
+    return h.hexdigest()
+
+
+class TestSynthPinned:
+    """Digests recorded from the per-configuration loop that built synth
+    spaces before its numpy rewrite (Python 3.11, whose float sum() adds
+    left to right)."""
+
+    DIGESTS = {
+        "rugged":
+            "c2854c2d377eb05ad4fb62155202aa9f21a5810a1d4c0494c2e4973c52f81013",
+        "additive":
+            "5aca7f4fb3554eade790cf0b1b2e240260b8066d275b501ca7f8731c49f5cc55",
+        "plateau":
+            "cdac42677b7786d1ac3973d713b75ee57058bdeaf4771884a55b7b17d25d4116",
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_digest(self, shape):
+        assert synth_digest(shape) == self.DIGESTS[shape]
+
+    @pytest.mark.parametrize("seed", SYNTH_SEEDS)
+    @pytest.mark.parametrize("n_options, sizes", SYNTH_LAYOUTS)
+    def test_additive_is_a_left_to_right_sum(self, seed, n_options, sizes):
+        if isinstance(sizes, int):
+            sizes = [sizes] * n_options
+        rng = random.Random(seed)
+        contrib = [[rng.uniform(0.0, 10.0) for _ in range(s)] for s in sizes]
+        land = synth(seed, n_options, sizes, "additive")
+        assert len(land.measurements) == math.prod(sizes)
+        for config, value in land.measurements.items():
+            total = 0.0
+            for i, idx in enumerate(config):
+                total += contrib[i][idx]
+            assert value.hex() == total.hex(), config

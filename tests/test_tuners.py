@@ -207,10 +207,10 @@ class TestStagnationEscape:
 
         def guard(*args, **kwargs):
             before = evaluations
-            outcome, reason = real_guard(*args, **kwargs)
+            outcome, reason, fitness = real_guard(*args, **kwargs)
             if reason is not None and "skipped" in reason:
                 skipped_costs.append(evaluations - before)
-            return outcome, reason
+            return outcome, reason, fitness
 
         monkeypatch.setattr(Proposition, "evaluate", counted)
         monkeypatch.setattr(tuners, "_guarded_escape", guard)
@@ -218,6 +218,46 @@ class TestStagnationEscape:
             cotune_run(land, p_t, params, seed=seed)
         assert skipped_costs
         assert skipped_costs == [0] * len(skipped_costs)
+
+    def test_adopted_escape_result_is_not_scored_again(self, monkeypatch):
+        # the guard scores an escape result on pop_a to test it for
+        # flatness; an adopted result's refit reuses those scores, so
+        # nothing is evaluated between the guard and the next measurements
+        land, p_t, params = self.strict_setup()
+        evaluations = 0
+        real_evaluate = Proposition.evaluate
+        real_guard = tuners._guarded_escape
+        real_measure = tuners._measure_until_exhausted
+        adopted_at = None
+        after_adoption = []
+
+        def counted(self, v):
+            nonlocal evaluations
+            evaluations += 1
+            return real_evaluate(self, v)
+
+        def guard(*args, **kwargs):
+            nonlocal adopted_at
+            outcome, reason, fitness = real_guard(*args, **kwargs)
+            if reason is None:
+                adopted_at = evaluations
+            return outcome, reason, fitness
+
+        def measure_spy(*args, **kwargs):
+            nonlocal adopted_at
+            if adopted_at is not None:
+                after_adoption.append(evaluations - adopted_at)
+                adopted_at = None
+            return real_measure(*args, **kwargs)
+
+        monkeypatch.setattr(Proposition, "evaluate", counted)
+        monkeypatch.setattr(tuners, "_guarded_escape", guard)
+        monkeypatch.setattr(tuners, "_measure_until_exhausted", measure_spy)
+        for seed in self.SEEDS:
+            cotune_run(land, p_t, params, seed=seed)
+            adopted_at = None
+        assert after_adoption
+        assert after_adoption == [0] * len(after_adoption)
 
 
 class TestEntropyReuse:
