@@ -183,9 +183,9 @@ def _write_trajectory(path: Path, result) -> None:
 def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
     be written, is logged as a failure, never fatal. A landscape entry that
-    ``_check_landscape_entry`` rejects, a tuner's params that
-    ``TunerParams`` rejects, or two landscapes of one name, raise
-    HarnessError before any run starts.
+    ``_check_landscape_entry`` rejects, a landscape that cannot be built, a
+    tuner's params that ``TunerParams`` rejects, or two landscapes of one
+    name, raise HarnessError before any run starts.
 
     Returns a dict with the output directory, the summary rows, the failure
     log and the best-rank roll-up. Deterministic for a fixed seed base.
@@ -199,6 +199,21 @@ def run_experiment(config: ExperimentConfig):
                 early_stop=config.early_stop, **spec.params))
         except (TypeError, ValueError) as exc:
             raise HarnessError(f"tuner {spec.name!r}: {exc}") from None
+    lands, names = [], set()
+    for entry in config.landscapes:
+        try:
+            land = _resolve_landscape(entry)
+        # a CSV that cannot be read or parsed, or a synth value that synth
+        # rejects (TypeError: a value of the wrong type)
+        except (OSError, ValueError, TypeError) as exc:
+            raise HarnessError(f"landscape {entry}: {exc}") from None
+        # results are filed by landscape name: two landscapes of one name
+        # would share trajectory files and summary cells
+        if land.name in names:
+            raise HarnessError(f"two landscapes are named {land.name!r}; "
+                               "give each a distinct 'name'")
+        names.add(land.name)
+        lands.append(land)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = []
@@ -206,19 +221,7 @@ def run_experiment(config: ExperimentConfig):
     cells = {}  # (landscape, req) -> {tuner: [best scores]}
 
     work = []
-    names = set()
-    for land_entry in config.landscapes:
-        try:
-            land = _resolve_landscape(land_entry)
-        except Exception as exc:  # noqa: BLE001 - sweep isolation
-            failures.append({"landscape": str(land_entry), "error": str(exc)})
-            continue
-        # results are filed by landscape name: two landscapes of one name
-        # would share trajectory files and summary cells
-        if land.name in names:
-            raise HarnessError(f"two landscapes are named {land.name!r}; "
-                               "give each a distinct 'name'")
-        names.add(land.name)
+    for land in lands:
         try:
             reqs = _resolve_requirements(config.requirements, land)
         except Exception as exc:  # noqa: BLE001

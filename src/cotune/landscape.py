@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,59 +50,113 @@ Configuration = tuple
 class Landscape:
     """An immutable mapping from configurations to a performance value.
 
+    A configuration's *code* is its mixed-radix number over the option domain
+    sizes: its position in ``itertools.product`` order, the last option
+    varying fastest. ``performance_array`` holds one float64 value per
+    measured configuration, in code order. When ``codes`` is None the space
+    is exhaustive and the array has one value per configuration, so a value
+    sits at its configuration's code. Otherwise the space is partial (say, a
+    CSV that does not cover every configuration), and ``codes`` is the sorted
+    array of the measured configurations' codes, one per value. The values
+    are checked as a whole when the landscape is built; a configuration's
+    length and range are checked when it is looked up.
+
     Maximizing metrics are assumed to have been negated at ingestion; lower
     is always better internally.
     """
 
-    def __init__(self, options, measurements, name="landscape"):
+    def __init__(self, options, values, codes=None, name="landscape"):
         self.options = tuple(options)
-        self.measurements = dict(measurements)
         self.name = name
-        if not self.measurements:
+        self.sizes = tuple(len(opt.domain) for opt in self.options)
+        self.space_size = math.prod(self.sizes)
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1 or not values.size:
             raise LandscapeError("landscape has no measurements")
-        for config, value in self.measurements.items():
-            self._check_config(config)
-            if not math.isfinite(value):
-                raise LandscapeError(
-                    f"configuration {config} has non-finite performance {value!r}"
-                )
-        values = self.measurements.values()
-        self.v_min = min(values)
-        self.v_max = max(values)
-        self.space_size = math.prod(len(opt.domain) for opt in self.options)
+        if codes is not None:
+            codes = np.asarray(codes, dtype=_code_dtype(self.space_size))
+            if (codes.shape != values.shape or codes[0] < 0
+                    or codes[-1] >= self.space_size
+                    or not (codes[1:] > codes[:-1]).all()):
+                raise LandscapeError("codes must be sorted, distinct, inside "
+                                     "the space and one per value")
+            if codes.size == self.space_size:
+                codes = None  # sorted, distinct and in range: every code
+        elif values.size != self.space_size:
+            raise LandscapeError(f"{values.size} values for a space of "
+                                 f"{self.space_size} configurations")
+        finite = np.isfinite(values)
+        if not finite.all():
+            at = int(np.argmin(finite))
+            code = at if codes is None else int(codes[at])
+            raise LandscapeError(
+                f"configuration {self._decode(code)} has non-finite "
+                f"performance {values.item(at)!r}")
+        self.codes = codes
+        self.performance_array = values
+        self.v_min = values.min().item()
+        self.v_max = values.max().item()
 
-    def _check_config(self, config):
-        if len(config) != len(self.options):
-            raise LandscapeError(f"configuration {config} has wrong length")
-        for idx, opt in zip(config, self.options):
-            if not 0 <= idx < len(opt.domain):
-                raise LandscapeError(
-                    f"index {idx} out of range for option {opt.name!r}"
-                )
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop("measurements", None)  # rebuilt on first access
+        return state
 
     @property
     def exhaustive(self) -> bool:
-        return len(self.measurements) == self.space_size
+        return self.codes is None
+
+    def _decode(self, code) -> Configuration:
+        """The configuration whose code is ``code``."""
+        config = []
+        for size in reversed(self.sizes):
+            code, idx = divmod(code, size)
+            config.append(idx)
+        return tuple(reversed(config))
+
+    def configs(self):
+        """Every measured configuration, in code order."""
+        if self.codes is None:
+            return itertools.product(*map(range, self.sizes))
+        return map(self._decode, self.codes.tolist())
 
     def lookup(self, config) -> float:
-        try:
-            return self.measurements[tuple(config)]
-        except KeyError:
-            raise LandscapeError(
-                f"configuration {config} absent from dataset (no surrogate lookup)"
-            ) from None
+        if len(config) != len(self.sizes):
+            raise LandscapeError(f"configuration {config} has wrong length")
+        code = 0
+        for idx, size, opt in zip(config, self.sizes, self.options):
+            if not 0 <= idx < size:
+                raise LandscapeError(
+                    f"index {idx} out of range for option {opt.name!r}")
+            code = code * size + idx
+        if self.codes is not None:
+            at = int(np.searchsorted(self.codes, code))
+            if at == self.codes.size or self.codes[at] != code:
+                raise LandscapeError(f"configuration {config} absent from "
+                                     "dataset (no surrogate lookup)")
+            code = at
+        # a Python float: numpy 2 writes a numpy scalar's repr as
+        # np.float64(...), and values reach written CSVs through repr
+        return self.performance_array.item(code)
 
     def performance_values(self):
-        return list(self.measurements.values())
+        return self.performance_array.tolist()
 
     @cached_property
-    def performance_array(self) -> np.ndarray:
-        """Every measured value as float64, built once for bulk scoring."""
-        return np.fromiter(self.measurements.values(), dtype=np.float64,
-                           count=len(self.measurements))
+    def measurements(self):
+        """A read-only view, configuration -> value in code order, built on
+        first access. For tests and checks: no tuner or calibration path
+        reads it."""
+        return MappingProxyType(dict(zip(self.configs(),
+                                         self.performance_array.tolist())))
 
     def random_config(self, rng: random.Random) -> Configuration:
-        return tuple(rng.randrange(len(opt.domain)) for opt in self.options)
+        return tuple(rng.randrange(size) for size in self.sizes)
+
+
+def _code_dtype(space_size):
+    """int64 while every code of the space fits in it, else Python ints."""
+    return np.int64 if space_size <= 2**63 else object
 
 
 @dataclass
@@ -133,6 +188,14 @@ def measure(landscape: Landscape, meter: BudgetMeter, config) -> float:
     return value
 
 
+# Bulk scoring runs on blocks of this many values. A block's float64
+# temporaries (64 KiB each) stay below glibc's default 128 KiB mmap threshold,
+# so they are reused from the heap; whole-array temporaries of a 2^14 space
+# were mapped and page-faulted in again on every call (about 600 minor faults
+# per generate_target call on a 2-core Linux host).
+SCORE_BLOCK = 8192
+
+
 def satisfiability_fraction(landscape: Landscape, prop: Proposition) -> float:
     """Fraction of the configuration space with nonzero satisfaction.
 
@@ -143,8 +206,11 @@ def satisfiability_fraction(landscape: Landscape, prop: Proposition) -> float:
         raise LandscapeError(
             "satisfiability fraction needs an exhaustively measured landscape"
         )
-    scores = prop.evaluate_many(landscape.performance_array)
-    return int(np.count_nonzero(scores > 0)) / len(landscape.measurements)
+    values = landscape.performance_array
+    hits = sum(
+        int(np.count_nonzero(prop.evaluate_many(values[at:at + SCORE_BLOCK]) > 0))
+        for at in range(0, values.size, SCORE_BLOCK))
+    return hits / landscape.space_size
 
 
 def _column(cells):
@@ -199,26 +265,37 @@ def load_csv(path, name=None) -> Landscape:
         options.append(OptionSpec(header[col], domain))
         index = {v: i for i, v in enumerate(domain)}
         columns.append([index[v] for v in values])
+    dtype = _code_dtype(math.prod(len(opt.domain) for opt in options))
+    codes = 0  # codes[r]: the code of row r's configuration
+    for column, opt in zip(columns, options):
+        codes = codes * len(opt.domain) + np.array(column, dtype=dtype)
 
-    measurements = {}
-    for r, (lineno, _, perf) in enumerate(rows):
-        config = tuple(column[r] for column in columns)
-        if config in measurements:
-            raise LandscapeError(f"{path}: row {lineno}: duplicate configuration")
-        measurements[config] = perf
-    return Landscape(options, measurements, name=name or str(path))
+    # a stable sort keeps equal codes in row order, so the first repeat in
+    # file order is the earliest row that follows its own first occurrence
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    repeats = np.flatnonzero(codes[1:] == codes[:-1])
+    if repeats.size:
+        lineno = rows[int(order[repeats + 1].min())][0]
+        raise LandscapeError(f"{path}: row {lineno}: duplicate configuration")
+    perfs = np.array([perf for _, _, perf in rows])[order]
+    return Landscape(options, perfs, codes=codes, name=name or str(path))
 
 
 def write_csv(landscape: Landscape, path) -> None:
-    """Export a landscape in the load_csv format (performance column last)."""
+    """Export a landscape in the load_csv format (performance column last),
+    one row per measured configuration in code order."""
+    domains = [opt.domain for opt in landscape.options]
+    if landscape.exhaustive:
+        rows = itertools.product(*domains)
+    else:
+        rows = ([domain[idx] for domain, idx in zip(domains, config)]
+                for config in landscape.configs())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([opt.name for opt in landscape.options] + ["performance"])
-        for config in sorted(landscape.measurements):
-            row = [
-                landscape.options[i].domain[idx] for i, idx in enumerate(config)
-            ]
-            writer.writerow(row + [repr(landscape.measurements[config])])
+        writer.writerows([*row, repr(value)] for row, value in
+                         zip(rows, landscape.performance_array.tolist()))
 
 
 SHAPES = ("rugged", "additive", "plateau")
@@ -238,7 +315,7 @@ def synth(
     shape "rugged": each option interacts with two random neighbors.
     shape "plateau": additive base with the lower ~60% collapsed to one value.
 
-    Configurations are keyed in ``itertools.product`` order. Every value
+    Values are stored in code (``itertools.product``) order. Every value
     comes from one ``random.Random(seed)``, drawn with ``uniform(0.0, 10.0)``:
     additive and plateau draw each option's contributions, option by option;
     rugged first samples each option's two neighbours, then draws one value
@@ -313,8 +390,4 @@ def synth(
         modal = np.partition(values, k)[k]
         values[values <= modal] = modal
 
-    measurements = dict(zip(itertools.product(*(range(s) for s in domain_sizes)),
-                            values.tolist()))
-    return Landscape(
-        options, measurements, name=name or f"synth-{shape}-{seed}"
-    )
+    return Landscape(options, values, name=name or f"synth-{shape}-{seed}")

@@ -325,12 +325,23 @@ def _ga_raw_run(landscape, p_t, params, seed, label):
     order = len(sample)
 
     result = TunerResult(label, None, float("-inf"))
+    lowest = None  # (config, perf): the first lowest of the history
+    scanned = 0  # cache entries already compared with lowest
 
     def record(iteration):  # -> whether the run stops early
-        config, perf = min(meter.cache.items(), key=lambda cv: cv[1])
-        score = p_t.evaluate(perf)
-        if score > result.best_score:
-            result.best_config, result.best_score = config, score
+        nonlocal lowest, scanned
+        # a tie keeps the earlier configuration, as min over the whole
+        # history in measurement order would; p_t scores a new lowest once
+        found = lowest
+        for config, perf in islice(meter.cache.items(), scanned, None):
+            if found is None or perf < found[1]:
+                found = (config, perf)
+        scanned = len(meter.cache)
+        if found is not lowest:
+            lowest = found
+            score = p_t.evaluate(lowest[1])
+            if score > result.best_score:
+                result.best_config, result.best_score = lowest[0], score
         result.trajectory.append(TrajectoryRow(
             iteration, meter.consumed, result.best_score, "raw", "", 0.0, 0.0))
         return params.early_stop and result.best_score == 1.0

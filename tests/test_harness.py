@@ -410,7 +410,34 @@ BAD_LANDSCAPES = {
 }
 
 
+def unbuildable_landscape(tmp_path, case):
+    """(entry, what the error names) of a landscape entry that passes the
+    entry check but cannot be built."""
+    if case == "synth of an unknown shape":
+        return ({"synth": {"seed": 1, "n_options": 6, "domain_sizes": 2,
+                           "shape": "spiky"}}, "unknown shape 'spiky'")
+    path = tmp_path / "dup.csv"
+    path.write_text("a,performance\n0,1.0\n1,2.0\n0,3.0\n")
+    return {"csv": str(path)}, "row 4: duplicate configuration"
+
+
 class TestLandscapeEntries:
+    @pytest.mark.parametrize("case", ["synth of an unknown shape",
+                                      "csv that fails to load"])
+    def test_landscape_that_cannot_be_built_exits_1(self, tmp_path, capsys,
+                                                    case):
+        entry, match = unbuildable_landscape(tmp_path, case)
+        config = config_obj(tmp_path, landscapes=[entry])
+        with pytest.raises(HarnessError, match=match):
+            run_experiment(ExperimentConfig(**config))
+        config_path = write_config(tmp_path, json.dumps(config))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "run(s) failed" not in captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", sorted(BAD_LANDSCAPES))
     def test_bad_landscape_entry_rejected_before_any_run(self, tmp_path,
                                                          case):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -19,15 +20,15 @@ from cotune.landscape import (
     synth,
     write_csv,
 )
+from cotune.reqgen import GenSpec, generate_target
 from cotune.requirement import Fragment, Proposition
+from cotune.tuners import TunerParams, cotune_run, ga_run, random_run
 
 
 def tiny_landscape():
+    """Configuration (i, j) performs i * 3 + j: its code."""
     options = [OptionSpec("a", (0, 1)), OptionSpec("b", (10, 20, 30))]
-    measurements = {
-        (i, j): float(i * 3 + j) for i in range(2) for j in range(3)
-    }
-    return Landscape(options, measurements, name="tiny")
+    return Landscape(options, [float(code) for code in range(6)], name="tiny")
 
 
 class TestOptionSpec:
@@ -52,18 +53,21 @@ class TestLandscape:
         assert land.v_max == 5.0
 
     def test_lookup_missing_config_raises(self):
-        land = Landscape([OptionSpec("a", (0, 1))], {(0,): 1.0})
+        land = Landscape([OptionSpec("a", (0, 1))], [1.0], codes=[0])
         with pytest.raises(LandscapeError):
             land.lookup((1,))
 
     def test_bad_config_shape_rejected(self):
-        with pytest.raises(LandscapeError):
-            Landscape([OptionSpec("a", (0, 1))], {(0, 1): 1.0})
+        options = [OptionSpec("a", (0, 1))]
+        with pytest.raises(LandscapeError, match="3 values for a space of 2"):
+            Landscape(options, [1.0, 2.0, 3.0])
+        with pytest.raises(LandscapeError, match="inside the space"):
+            Landscape(options, [1.0], codes=[2])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_performance_rejected(self, value):
         with pytest.raises(LandscapeError, match=r"\(1,\).*non-finite"):
-            Landscape([OptionSpec("a", (0, 1))], {(0,): 1.0, (1,): value})
+            Landscape([OptionSpec("a", (0, 1))], [1.0, value])
 
     def test_random_config_in_domain(self):
         land = tiny_landscape()
@@ -129,7 +133,7 @@ class TestSatisfiabilityFraction:
             assert satisfiability_fraction(land, prop) == hits / len(values)
 
     def test_requires_exhaustive(self):
-        land = Landscape([OptionSpec("a", (0, 1))], {(0,): 1.0})
+        land = Landscape([OptionSpec("a", (0, 1))], [1.0], codes=[0])
         prop = Proposition((Fragment("E", 0.0, 1.0, 1.0, 1.0),))
         with pytest.raises(LandscapeError):
             satisfiability_fraction(land, prop)
@@ -281,3 +285,117 @@ class TestSynthPinned:
             for i, idx in enumerate(config):
                 total += contrib[i][idx]
             assert value.hex() == total.hex(), config
+
+
+# The acceptance landscapes and the sha256 of the CSV write_csv wrote for
+# each before landscapes were stored as arrays.
+ACCEPTANCE_CSVS = (
+    (dict(seed=7, n_options=12, domain_sizes=2, shape="rugged"),
+     "1fa3e5837c80725a38c57d2b044bfcad63c4690437f511a8b76ad85786a7086e"),
+    (dict(seed=3, n_options=10, domain_sizes=2, shape="additive"),
+     "aa877b77c5684c4800b1996b69129d5414f267f29403b65c0993cb2e7e050338"),
+    (dict(seed=11, n_options=6, domain_sizes=[4, 3, 4, 3, 2, 2],
+          shape="rugged"),
+     "72ab4fc2dac9a50efefd16dc908e430bf0125d891dcb2fd71f245b2cf9a68ec3"),
+)
+
+
+class TestStorage:
+    """One value array in code order; partial spaces keep their codes."""
+
+    def test_shuffled_exhaustive_csv(self, tmp_path):
+        land = synth(seed=2, n_options=3, domain_sizes=[2, 3, 4],
+                     shape="rugged")
+        path = tmp_path / "land.csv"
+        write_csv(land, path)
+        header, *rows = path.read_text().splitlines()
+        random.Random(5).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header, *rows]) + "\n")
+        loaded = load_csv(shuffled)
+        assert loaded.exhaustive
+        for config in land.configs():
+            assert loaded.lookup(config) == land.lookup(config)
+        assert loaded.measurements == land.measurements
+
+    @pytest.mark.parametrize("rows, lineno", [
+        ("1,1.0\n0,2.0\n0,3.0\n1,4.0\n", 4),
+        ("1,1.0\n0,2.0\n1,3.0\n0,4.0\n", 4),
+        ("0,1.0\n1,2.0\n2,3.0\n2,4.0\n0,5.0\n", 5),
+    ])
+    def test_duplicate_row_names_its_line(self, tmp_path, rows, lineno):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,performance\n" + rows)
+        with pytest.raises(LandscapeError,
+                           match=f"row {lineno}: duplicate configuration"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("config, match", [
+        ((2, 0), "out of range for option 'a'"),
+        ((0, -1), "out of range for option 'b'"),
+        ((0,), "wrong length"),
+        ((0, 0, 0), "wrong length"),
+        ((1, 1), "absent from dataset"),
+    ])
+    def test_bad_lookup_raises(self, config, match):
+        options = [OptionSpec("a", (0, 1)), OptionSpec("b", (10, 20, 30))]
+        land = Landscape(options, [5.0, 7.0], codes=[0, 5])
+        assert not land.exhaustive
+        assert land.lookup((0, 0)) == 5.0
+        assert land.lookup((1, 2)) == 7.0
+        with pytest.raises(LandscapeError, match=match):
+            land.lookup(config)
+
+    def test_partial_space_beyond_int64_codes(self, tmp_path):
+        # 2^64 configurations: the all-ones code, 2^64 - 1, overflows int64
+        n = 64
+        configs = [(0,) * n, (1,) * n, (0, 1) * (n // 2), (1, 0) * (n // 2),
+                   (1,) + (0,) * (n - 1)]
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            ",".join(f"o{i}" for i in range(n)) + ",performance\n"
+            + "".join(",".join(map(str, c)) + f",{k + 0.5}\n"
+                      for k, c in enumerate(configs)))
+        land = load_csv(path)
+        assert land.space_size == 2 ** n
+        assert not land.exhaustive
+        for k, config in enumerate(configs):
+            assert land.lookup(config) == k + 0.5
+        assert land.measurements == {c: k + 0.5 for k, c in enumerate(configs)}
+        with pytest.raises(LandscapeError, match="absent"):
+            land.lookup((0,) * (n - 1) + (1,))
+        rewritten = tmp_path / "rewritten.csv"
+        write_csv(land, rewritten)
+        assert load_csv(rewritten).measurements == land.measurements
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_pickle_round_trip(self, partial):
+        land = synth(seed=4, n_options=5, domain_sizes=3, shape="plateau")
+        if partial:
+            land = Landscape(land.options, land.performance_array[::7],
+                             codes=range(0, land.space_size, 7))
+        land.measurements  # a built view is not pickled; it is rebuilt
+        copy = pickle.loads(pickle.dumps(land))
+        assert "measurements" not in vars(copy)
+        assert (copy.v_min, copy.v_max) == (land.v_min, land.v_max)
+        assert copy.exhaustive == land.exhaustive == (not partial)
+        for config in land.configs():
+            value = copy.lookup(config)
+            assert type(value) is float and value == land.lookup(config)
+        assert copy.measurements == land.measurements
+
+    @pytest.mark.parametrize("spec, digest", ACCEPTANCE_CSVS)
+    def test_write_csv_bytes(self, tmp_path, spec, digest):
+        path = tmp_path / "land.csv"
+        write_csv(synth(**spec), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_no_tuner_or_calibration_path_builds_measurements(self):
+        land = synth(seed=7, n_options=9, domain_sizes=2, shape="rugged")
+        p_t = generate_target(land, 0.01, GenSpec(), random.Random(1))
+        assert 0 < satisfiability_fraction(land, p_t) < 1
+        params = TunerParams(budget=60, early_stop=False)
+        for run in (cotune_run, ga_run, random_run):
+            run(land, p_t, params, seed=3)
+        ga_run(land, p_t, params, seed=3, objective="raw")
+        assert "measurements" not in vars(land)

@@ -20,10 +20,8 @@ from cotune.reqgen import (
 def uniform_landscape():
     """64 configurations with evenly spread performance values."""
     options = [OptionSpec(f"o{i}", (0, 1)) for i in range(6)]
-    configs = sorted(
-        {tuple((j >> i) & 1 for i in range(6)) for j in range(64)})
-    measurements = {c: float(i) for i, c in enumerate(configs)}
-    return Landscape(options, measurements, name="uniform64")
+    return Landscape(options, [float(code) for code in range(64)],
+                     name="uniform64")
 
 
 class TestGenSpec:
@@ -85,8 +83,7 @@ class TestGenerateTarget:
         assert a == b
 
     def test_constant_landscape_fails(self):
-        land = Landscape([OptionSpec("a", (0, 1))],
-                         {(0,): 3.0, (1,): 3.0})
+        land = Landscape([OptionSpec("a", (0, 1))], [3.0, 3.0])
         with pytest.raises(CalibrationError):
             generate_target(land, 0.5, GenSpec(), random.Random(0))
 
