@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from scipy import stats as scipy_stats
+import numpy as np
 
 from . import landscape as landscape_mod
 from . import reqgen, tuners
@@ -138,28 +138,48 @@ def _resolve_landscape(entry) -> landscape_mod.Landscape:
     return landscape_mod.synth(**entry["synth"], name=entry.get("name"))
 
 
-def _resolve_requirements(entries, land):
-    """Yield (label, proposition) pairs from files or a generation spec."""
+def _load_requirements(entries) -> list:
+    """Each requirement entry as its (label, proposition) pair for a file,
+    or as its GenSpec for a generation spec, which only a landscape can
+    resolve. A file that cannot be read or parsed, a generation spec that
+    GenSpec rejects, or an entry with neither key raise HarnessError."""
     out = []
     for entry in entries:
-        if "file" in entry:
-            prop = Proposition.loads(
-                Path(entry["file"]).read_text(encoding="utf-8"))
-            out.append((entry.get("name", Path(entry["file"]).stem), prop))
-        elif "gen" in entry:
-            spec_args = dict(entry["gen"])
-            spec = reqgen.GenSpec(
-                d_levels=tuple(spec_args.get("d_levels", reqgen.DEFAULT_D_LEVELS)),
-                types=spec_args.get("types", 3),
-                seed=spec_args.get("seed", 0),
-            )
-            for item in reqgen.generate_suite(land, spec):
-                out.append((
-                    f"t{item.type_index + 1}_d{item.d_requested:g}",
-                    item.proposition,
+        if "file" not in entry and "gen" not in entry:
+            raise HarnessError(
+                f"requirement entry needs 'file' or 'gen': {entry}")
+        try:
+            if "file" in entry:
+                path = Path(entry["file"])
+                prop = Proposition.loads(path.read_text(encoding="utf-8"))
+                out.append((entry.get("name", path.stem), prop))
+            else:
+                spec_args = dict(entry["gen"])
+                out.append(reqgen.GenSpec(
+                    d_levels=tuple(spec_args.get("d_levels",
+                                                 reqgen.DEFAULT_D_LEVELS)),
+                    types=spec_args.get("types", 3),
+                    seed=spec_args.get("seed", 0),
                 ))
-        else:
-            raise HarnessError(f"requirement entry needs 'file' or 'gen': {entry}")
+        # an unreadable file, bad JSON or a bad value (ValueError), a missing
+        # key or a value of the wrong type
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise HarnessError(f"requirement {entry}: {detail}") from None
+    return out
+
+
+def _resolve_requirements(loaded, land):
+    """(label, proposition) pairs of the loaded entries on one landscape:
+    a GenSpec is calibrated against it."""
+    out = []
+    for item in loaded:
+        if not isinstance(item, reqgen.GenSpec):
+            out.append(item)
+            continue
+        for gen in reqgen.generate_suite(land, item):
+            out.append((f"t{gen.type_index + 1}_d{gen.d_requested:g}",
+                        gen.proposition))
     return out
 
 
@@ -182,10 +202,12 @@ def _write_trajectory(path: Path, result) -> None:
 
 def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
-    be written, is logged as a failure, never fatal. A landscape entry that
+    be written, is logged as a failure, never fatal, and so is a landscape
+    on which a generation spec cannot be calibrated. A landscape entry that
     ``_check_landscape_entry`` rejects, a landscape that cannot be built, a
-    tuner's params that ``TunerParams`` rejects, or two landscapes of one
-    name, raise HarnessError before any run starts.
+    requirement entry that ``_load_requirements`` rejects, a tuner's params
+    that ``TunerParams`` rejects, or two landscapes of one name, raise
+    HarnessError before any run starts.
 
     Returns a dict with the output directory, the summary rows, the failure
     log and the best-rank roll-up. Deterministic for a fixed seed base.
@@ -214,6 +236,7 @@ def run_experiment(config: ExperimentConfig):
                                "give each a distinct 'name'")
         names.add(land.name)
         lands.append(land)
+    loaded = _load_requirements(config.requirements)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = []
@@ -223,7 +246,7 @@ def run_experiment(config: ExperimentConfig):
     work = []
     for land in lands:
         try:
-            reqs = _resolve_requirements(config.requirements, land)
+            reqs = _resolve_requirements(loaded, land)
         except Exception as exc:  # noqa: BLE001
             failures.append({"landscape": land.name, "error": str(exc)})
             continue
@@ -327,14 +350,92 @@ def cohens_d(a, b) -> float:
     return mean_gap / pooled
 
 
+# the incomplete beta's continued fraction stops at this relative step, or
+# after _CF_TERMS terms; at most about 40 are needed for nu from 1 to 1e5
+_CF_EPS = 1e-15
+_CF_TERMS = 1000
+_CF_TINY = 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by the modified Lentz
+    method; converges fast for x < (a + 1) / (a + b + 2)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_TERMS + 1):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x
+                    / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            c = 1.0 + num / c
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            break
+    return h
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b); y is 1 - x, passed separately
+    so that neither side loses digits to the subtraction."""
+    if x == 0.0 or y == 0.0:
+        return x  # 0.0 or 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
+
+
+def _mean_and_var_over_n(sample) -> tuple:
+    """A sample's mean, and its variance (the mean squared deviation times
+    n / (n - 1)) divided by n."""
+    x = np.asarray(sample, dtype=np.float64)
+    n = len(x)
+    mean = x.mean()
+    return float(mean), float(((x - mean) ** 2).mean() * (n / (n - 1))) / n
+
+
+def _welch_p(a, b) -> float:
+    """Two-sided p-value of Welch's t-test on two samples of two or more
+    values, with nu the Welch-Satterthwaite degrees of freedom: the
+    Student t tail is I_{nu/(nu+t^2)}(nu/2, 1/2)."""
+    (mean_a, vn_a), (mean_b, vn_b) = map(_mean_and_var_over_n, (a, b))
+    gap, vn = mean_a - mean_b, vn_a + vn_b
+    if vn == 0.0:  # both variances round to zero: t is infinite or 0/0
+        return 1.0 if gap == 0.0 else 0.0
+    nu = vn ** 2 / (vn_a ** 2 / (len(a) - 1) + vn_b ** 2 / (len(b) - 1))
+    t2 = gap * gap / vn
+    return _betainc(nu / 2, 0.5, nu / (nu + t2), t2 / (nu + t2))
+
+
+def _kruskal_p(a, b) -> float:
+    """p-value of the Kruskal-Wallis H test on two samples: average ranks,
+    the tie correction, and the chi-square tail at one degree of freedom,
+    erfc(sqrt(H / 2)). Needs at least two distinct values."""
+    data = np.concatenate((np.asarray(a, dtype=np.float64),
+                           np.asarray(b, dtype=np.float64)))
+    n = len(data)
+    order = np.argsort(data, kind="stable")
+    ordered = data[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ties = np.diff(np.r_[first, n])  # the length of each run of equal values
+    ranked = np.empty(n)
+    ranked[order] = np.repeat(first + (ties + 1) / 2, ties)
+    correction = 1.0 - float(np.sum(ties ** 3 - ties)) / (n ** 3 - n)
+    ssbn = (ranked[:len(a)].sum() ** 2 / len(a)
+            + ranked[len(a):].sum() ** 2 / len(b))
+    h = (12.0 / (n * (n + 1)) * float(ssbn) - 3 * (n + 1)) / correction
+    return math.erfc(math.sqrt(max(h, 0.0) / 2))
+
+
 def _split_significant(a, b, test: str) -> bool:
     if statistics.pstdev(a) == 0.0 and statistics.pstdev(b) == 0.0:
         return statistics.fmean(a) != statistics.fmean(b)
-    if test == "kruskal":
-        _, p = scipy_stats.kruskal(a, b)
-    else:
-        _, p = scipy_stats.ttest_ind(a, b, equal_var=False)
-    return bool(p < ALPHA)
+    p = _kruskal_p(a, b) if test == "kruskal" else _welch_p(a, b)
+    return p < ALPHA
 
 
 def scott_knott_esd(samples: dict, test: str = "welch") -> list:

@@ -2,19 +2,30 @@
 
 import csv
 import functools
+import itertools
 import json
+import math
+import os
 import random
 import shutil
 import statistics
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import cotune
 from cotune import tuners
 from cotune.cli import main as cli_main
 from cotune.harness import (
+    ALPHA,
     ExperimentConfig,
     HarnessError,
     TunerSpec,
+    _betainc,
+    _kruskal_p,
+    _welch_p,
     cohens_d,
     emit_trajectory_plots_data,
     ranks,
@@ -110,6 +121,114 @@ class TestScottKnott:
         flattened = [t for g in groups for t in g]
         means = [statistics.fmean(samples[t]) for t in flattened]
         assert means == sorted(means, reverse=True)
+
+
+ULP = 2.0 ** -52
+
+
+def pvalue_pairs(count=2000):
+    """count seeded sample pairs, each side of 2 to 90 values: Gaussian,
+    coarsely rounded (ties), mostly 1.0 with a few lower values, constant
+    1.0, or 0/1; a third of the pairs shifted apart. No pair is constant on
+    both sides, where no test runs."""
+    rng = random.Random(12)
+    draws = (
+        lambda n: [rng.gauss(0.5, 0.1) for _ in range(n)],
+        lambda n: [round(rng.random(), 1) for _ in range(n)],
+        lambda n: [1.0 if rng.random() < 0.7 else rng.random()
+                   for _ in range(n)],
+        lambda n: [1.0] * n,
+        lambda n: [float(rng.random() < 0.5) for _ in range(n)],
+    )
+    pairs = []
+    for i in itertools.count():
+        a = draws[i % 5](2 + i % 89)
+        b = draws[(i // 5) % 5](2 + (i * 37) % 89)
+        if i % 3 == 0:
+            shift = rng.gauss(0.0, 0.1)
+            b = [x + shift for x in b]
+        if len(set(a)) > 1 or len(set(b)) > 1:
+            pairs.append((a, b))
+        if len(pairs) == count:
+            return pairs
+
+
+class TestPValues:
+    def test_cotune_imports_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(cotune.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, cotune, cotune.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+    def test_incomplete_beta_closed_forms(self):
+        for y in (1 - 1e-12, 0.99, 0.7, 0.5, 0.1, 1e-9):
+            x = 1 - y
+            # I_x(1/2, 1/2) is the arcsine law, I_x(1, b) = 1 - y^b
+            assert _betainc(0.5, 0.5, x, y) == pytest.approx(
+                2 / math.pi * math.atan2(math.sqrt(x), math.sqrt(y)),
+                rel=1e-12)
+            assert _betainc(1.0, 3.5, x, y) == pytest.approx(
+                -math.expm1(3.5 * math.log(y)), rel=1e-12)
+        assert _betainc(2.0, 0.5, 0.0, 1.0) == 0.0
+        assert _betainc(2.0, 0.5, 1.0, 0.0) == 1.0
+
+    def test_welch_one_degree_of_freedom(self):
+        # two values against a constant side: t = 3 on nu = 1 (Cauchy tail)
+        assert _welch_p([0.0, 2.0], [4.0, 4.0]) == pytest.approx(
+            1 - 2 / math.pi * math.atan(3.0), rel=1e-12)
+        assert _welch_p([0.0, 2.0], [1.0, 1.0]) == 1.0
+        # distinct values whose squared deviations underflow: both variances
+        # are 0.0, and the means differ
+        assert _welch_p([1e-170, 2e-170], [0.0, 0.0]) == 0.0
+
+    def test_kruskal_by_hand(self):
+        # ranks 1-3 against 4-6: H = 12 / 42 * (36 + 225) / 3 - 21
+        h = 12 / 42 * 87 - 21
+        assert _kruskal_p([1, 2, 3], [4, 5, 6]) == pytest.approx(
+            math.erfc(math.sqrt(h / 2)), rel=1e-12)
+        # ties: ranks 1.5, 1.5, 4 | 4, 4, 6; correction 1 - 30 / 210
+        h = (12 / 42 * (7 ** 2 / 3 + 14 ** 2 / 3) - 21) / (1 - 30 / 210)
+        assert _kruskal_p([1, 1, 2], [2, 2, 3]) == pytest.approx(
+            math.erfc(math.sqrt(h / 2)), rel=1e-12)
+
+    def test_agrees_with_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for a, b in pvalue_pairs():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                welch = stats.ttest_ind(a, b, equal_var=False).pvalue
+                kruskal = stats.kruskal(a, b).pvalue
+            for mine, ref in ((_welch_p(a, b), welch),
+                              (_kruskal_p(a, b), kruskal)):
+                assert mine == pytest.approx(ref, rel=1e-9, abs=0.0)
+                assert (mine < ALPHA) == (ref < ALPHA)
+
+    @pytest.mark.parametrize("samples, groups", [
+        ({"CoTune": [1.0] * 30, "GA_p": [1.0] * 29 + [1.0 - ULP]},
+         [["CoTune", "GA_p"]]),
+        ({"CoTune": [1.0] * 30, "GA_p": [1.0] * 28 + [1.0 - ULP] * 2},
+         [["CoTune", "GA_p"]]),
+        ({"CoTune": [1.0] * 29 + [0.9999999999999929], "GA_p": [1.0] * 30},
+         [["GA_p", "CoTune"]]),
+        ({"CoTune": [1.0] * 20 + [1.0000000000000142] * 10,
+          "GA_p": [1.0] * 30},
+         [["CoTune"], ["GA_p"]]),
+        ({"CoTune": [1.0] * 30, "GA_p": [1.0] * 25 + [0.98] * 5},
+         [["CoTune"], ["GA_p"]]),
+    ])
+    @pytest.mark.parametrize("test", ["welch", "kruskal"])
+    def test_near_identical_samples_rank_without_warnings(self, samples,
+                                                          groups, test):
+        # scores equal to a few ulps, as the acceptance sweep's easy cells
+        # give; the groups are those of the scipy-based ranking
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scott_knott_esd(samples, test) == groups
 
 
 def small_config(tmp_path, repeats=2, seed_base=0):
@@ -457,6 +576,48 @@ class TestLandscapeEntries:
         assert len(captured.err.strip().splitlines()) == 1
         assert "n_options" in captured.err
         assert not (tmp_path / "out").exists()
+
+
+class TestRequirementEntries:
+    @pytest.mark.parametrize("case", [
+        "file that is not JSON", "file without fragments",
+        "neither file nor gen", "gen that GenSpec rejects"])
+    def test_bad_requirement_entry_exits_1(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        entry, match = {
+            "file that is not JSON": ({"file": str(bad)}, "bad.json"),
+            "file without fragments": ({"file": str(bad)},
+                                       "missing key 'fragments'"),
+            "neither file nor gen": ({"nope": 1}, "needs 'file' or 'gen'"),
+            "gen that GenSpec rejects": ({"gen": {"types": 9}},
+                                         "types must be between"),
+        }[case]
+        bad.write_text("{" if case == "file that is not JSON" else "{}")
+        config = config_obj(tmp_path, requirements=[entry])
+        with pytest.raises(HarnessError, match=match):
+            run_experiment(ExperimentConfig(**config))
+        assert not (tmp_path / "out").exists()
+        config_path = write_config(tmp_path, json.dumps(config))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "run(s) failed" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_uncalibratable_landscape_is_a_failure(self, tmp_path):
+        # d=0.5 cannot be realized on this plateau landscape; the other
+        # landscape's runs go ahead
+        plateau = {"name": "plateau", "synth": {
+            "seed": 8, "n_options": 10, "domain_sizes": 2,
+            "shape": "plateau"}}
+        config = config_obj(tmp_path)
+        config["landscapes"].append(plateau)
+        result = run_experiment(ExperimentConfig(**config))
+        assert [(f["landscape"], "cannot realize d=0.5" in f["error"])
+                for f in result["failures"]] == [("plateau", True)]
+        assert len(json.loads((tmp_path / "out" / "manifest.json")
+                              .read_text())["runs"]) == 4
 
 
 class TestCli:
