@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import landscape as landscape_mod
@@ -18,10 +19,11 @@ from . import harness, reqgen
 def _cmd_run(args) -> int:
     try:
         config = harness.ExperimentConfig.from_json(args.config)
+        # replace checks the overridden settings as the constructor does
         if args.jobs is not None:
-            config.jobs = args.jobs
+            config = replace(config, jobs=args.jobs)
         if args.no_early_stop:
-            config.early_stop = False
+            config = replace(config, early_stop=False)
         result = harness.run_experiment(config)
     except harness.HarnessError as exc:
         print(exc, file=sys.stderr)

@@ -66,8 +66,17 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for key in ("repeats", "seed_base", "jobs"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise HarnessError(f"{key} must be an integer, not {value!r}")
+        if not isinstance(self.early_stop, bool):
+            raise HarnessError(
+                f"early_stop must be true or false, not {self.early_stop!r}")
         if self.repeats < 2:
             raise HarnessError("repeats must be at least 2 for ranking")
+        if self.jobs < 1:
+            raise HarnessError(f"jobs must be at least 1, not {self.jobs}")
         self.tuners = [
             t if isinstance(t, TunerSpec) else TunerSpec(**t)
             for t in self.tuners
@@ -139,10 +148,11 @@ def _resolve_landscape(entry) -> landscape_mod.Landscape:
 
 
 def _load_requirements(entries) -> list:
-    """Each requirement entry as its (label, proposition) pair for a file,
-    or as its GenSpec for a generation spec, which only a landscape can
-    resolve. A file that cannot be read or parsed, a generation spec that
-    GenSpec rejects, or an entry with neither key raise HarnessError."""
+    """Each requirement entry as (labels, source): a file's proposition,
+    labelled by its 'name' or file stem, or a GenSpec, which only a landscape
+    can resolve, with its labels(). A file that cannot be read or parsed, a
+    spec that GenSpec rejects (or with an unknown key), an entry with neither
+    key, and two requirements of one label raise HarnessError."""
     out = []
     for entry in entries:
         if "file" not in entry and "gen" not in entry:
@@ -152,20 +162,23 @@ def _load_requirements(entries) -> list:
             if "file" in entry:
                 path = Path(entry["file"])
                 prop = Proposition.loads(path.read_text(encoding="utf-8"))
-                out.append((entry.get("name", path.stem), prop))
+                out.append(([entry.get("name", path.stem)], prop))
             else:
-                spec_args = dict(entry["gen"])
-                out.append(reqgen.GenSpec(
-                    d_levels=tuple(spec_args.get("d_levels",
-                                                 reqgen.DEFAULT_D_LEVELS)),
-                    types=spec_args.get("types", 3),
-                    seed=spec_args.get("seed", 0),
-                ))
+                spec = reqgen.GenSpec(**entry["gen"])
+                out.append((spec.labels(), spec))
         # an unreadable file, bad JSON or a bad value (ValueError), a missing
-        # key or a value of the wrong type
+        # key, or an unknown key or a value of the wrong type (TypeError)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise HarnessError(f"requirement {entry}: {detail}") from None
+    # results are filed by requirement label: two requirements of one label
+    # would share trajectory files and summary cells
+    labels = [label for item_labels, _ in out for label in item_labels]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise HarnessError(
+            f"two requirements are labelled {repeated[0]!r}; give each file "
+            "entry a distinct 'name' and gen entries distinct d levels or types")
     return out
 
 
@@ -173,13 +186,10 @@ def _resolve_requirements(loaded, land):
     """(label, proposition) pairs of the loaded entries on one landscape:
     a GenSpec is calibrated against it."""
     out = []
-    for item in loaded:
-        if not isinstance(item, reqgen.GenSpec):
-            out.append(item)
-            continue
-        for gen in reqgen.generate_suite(land, item):
-            out.append((f"t{gen.type_index + 1}_d{gen.d_requested:g}",
-                        gen.proposition))
+    for labels, source in loaded:
+        props = ([gen.proposition for gen in reqgen.generate_suite(land, source)]
+                 if isinstance(source, reqgen.GenSpec) else [source])
+        out.extend(zip(labels, props))
     return out
 
 
@@ -206,8 +216,8 @@ def run_experiment(config: ExperimentConfig):
     on which a generation spec cannot be calibrated. A landscape entry that
     ``_check_landscape_entry`` rejects, a landscape that cannot be built, a
     requirement entry that ``_load_requirements`` rejects, a tuner's params
-    that ``TunerParams`` rejects, or two landscapes of one name, raise
-    HarnessError before any run starts.
+    that ``TunerParams`` rejects, or two landscapes or two requirements of
+    one name, raise HarnessError before any run starts.
 
     Returns a dict with the output directory, the summary rows, the failure
     log and the best-rank roll-up. Deterministic for a fixed seed base.

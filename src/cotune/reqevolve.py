@@ -9,17 +9,17 @@ Three situations trigger a change, with decreasing commonality:
 * Case 2: the best configuration on the target has stagnated -> random-search
   for a mutant proposition with strictly lower score entropy.
 
-Each case function scores entropy with ``differential_entropy`` unless the
-caller passes its own ``entropy`` function (a tuner run passes one that
-memoizes every score sample for the whole run). It is called with a tuple of
-scores and must return what ``differential_entropy`` would.
+Each case function returns its proposition's scores of the given values with
+it, and computes entropy with its ``entropy`` keyword, ``differential_entropy``
+by default (a tuner run passes one that memoizes every score sample for the
+whole run). It is called with a tuple of scores and must return what
+``differential_entropy`` would.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 
 from .entropy import MIN_ENTROPY, differential_entropy
 from .requirement import Fragment, Proposition, validate
@@ -39,12 +39,14 @@ class RequirementEvolutionError(RuntimeError):
 class EvolutionOutcome:
     """Result of one evolution step.
 
+    scores holds the proposition's score of each given performance value.
     by_entropy is True when the step terminated on the entropy condition;
     False means the boundary was pinned at a metric bound (relax/tighten) or
     the attempt cap fired (escape) and the result is a best-effort fallback.
     """
 
     proposition: Proposition
+    scores: tuple
     by_entropy: bool
 
 
@@ -127,7 +129,7 @@ def _move_left_boundary(prop: Proposition, idx: int, new_b: float) -> Propositio
 
 
 def relax_case0(p_a: Proposition, perf_values, rng: random.Random, *,
-                entropy=None) -> EvolutionOutcome:
+                entropy=differential_entropy) -> EvolutionOutcome:
     """Relax the first distinguishable fragment from the right.
 
     Its right boundary b moves rightward by min(b + b*delta, v_max) with
@@ -144,32 +146,33 @@ def relax_case0(p_a: Proposition, perf_values, rng: random.Random, *,
     if idx is None:
         raise RequirementEvolutionError("no distinguishable fragment to relax")
 
-    entropy = entropy or differential_entropy
-    h_old = entropy(_scores(p_a, perf_values))
+    scores = _scores(p_a, perf_values)
+    h_old = entropy(scores)
     base_area = p_a.integral()
     current = p_a
     while True:
         frag = current.fragments[idx]
         b = frag.v_hi
         if b >= v_max:
-            return EvolutionOutcome(current, False)
+            return EvolutionOutcome(current, scores, False)
         delta = rng.uniform(0.5, 1.0)
         # the literal step b*delta cannot advance a non-positive boundary;
         # fall back to a fraction of the remaining headroom
         step = b * delta if b > 0 else delta * (v_max - b)
         new_b = min(b + step, v_max)
         if new_b <= b:
-            return EvolutionOutcome(current, False)
+            return EvolutionOutcome(current, scores, False)
         current = _move_right_boundary(current, idx, new_b)
         _assert_valid(current)
         if not current.integral() > base_area:
             raise RequirementEvolutionError("relaxation did not grow the integral")
-        if entropy(_scores(current, perf_values)) > h_old:
-            return EvolutionOutcome(current, True)
+        scores = _scores(current, perf_values)
+        if entropy(scores) > h_old:
+            return EvolutionOutcome(current, scores, True)
 
 
 def tighten_case1(p_a: Proposition, perf_values, rng: random.Random, *,
-                  entropy=None) -> EvolutionOutcome:
+                  entropy=differential_entropy) -> EvolutionOutcome:
     """Tighten the first distinguishable fragment from the left.
 
     Mirror of relax_case0: the left boundary moves leftward toward v_min and
@@ -184,20 +187,20 @@ def tighten_case1(p_a: Proposition, perf_values, rng: random.Random, *,
     if idx is None:
         raise RequirementEvolutionError("no distinguishable fragment to tighten")
 
-    entropy = entropy or differential_entropy
-    h_old = entropy(_scores(p_a, perf_values))
+    scores = _scores(p_a, perf_values)
+    h_old = entropy(scores)
     base_area = p_a.integral()
     current = p_a
     while True:
         frag = current.fragments[idx]
         b = frag.v_lo
         if b <= v_min:
-            return EvolutionOutcome(current, False)
+            return EvolutionOutcome(current, scores, False)
         delta = rng.uniform(0.5, 1.0)
         step = b * delta if b > 0 else delta * (b - v_min)
         new_b = max(b - step, v_min)
         if new_b >= b:
-            return EvolutionOutcome(current, False)
+            return EvolutionOutcome(current, scores, False)
         # the leftmost distinguishable fragment may absorb its predecessors,
         # shifting its own index
         shift = sum(1 for f in current.fragments[:idx] if f.v_lo >= new_b)
@@ -206,8 +209,9 @@ def tighten_case1(p_a: Proposition, perf_values, rng: random.Random, *,
         _assert_valid(current)
         if not current.integral() < base_area:
             raise RequirementEvolutionError("tightening did not shrink the integral")
-        if entropy(_scores(current, perf_values)) > h_old:
-            return EvolutionOutcome(current, True)
+        scores = _scores(current, perf_values)
+        if entropy(scores) > h_old:
+            return EvolutionOutcome(current, scores, True)
 
 
 def _switch_kind(prop: Proposition, idx: int, new_kind: str) -> Proposition:
@@ -275,47 +279,43 @@ def mutate_proposition(p_a: Proposition, rng: random.Random) -> Proposition:
 
 
 def escape_case2(p_a: Proposition, perf_values, pool_target: int,
-                 rng: random.Random, *, entropy=None) -> EvolutionOutcome:
+                 rng: random.Random, *,
+                 entropy=differential_entropy) -> EvolutionOutcome:
     """Random search for a mutant with strictly lower score entropy.
 
-    Mutants accumulate in a pool capped at pool_target (highest-entropy
-    member evicted first). The loop runs until the pool is full and contains
-    a member below p_a's entropy; a hard cap of 50 * pool_target draws keeps
-    it terminating when no lower-entropy mutant exists (e.g. p_a already at
-    the sentinel), in which case the pool argmin is returned flagged.
+    Keeps the draws tied at the lowest entropy so far, in draw order, and
+    stops at the first draw from number pool_target on at which that entropy
+    is below p_a's, returning the earliest draw at it. After 50 * pool_target
+    draws (e.g. from p_a at the sentinel) it returns, flagged, draw number
+    max(1, m - pool_target + 1) of the m draws at the lowest entropy, as a
+    pool of pool_target evicting its highest, then earliest, entry would.
+    The first pool's draws reach entropy once it is full, unless one is flat
+    (the MIN_ENTROPY sentinel) while p_a is not: that draw decides, and the
+    rest of the first pool only advances rng.
     """
-    # mutants often share score vectors: score each distinct one once
-    entropy = entropy or cache(differential_entropy)
     h_current = entropy(_scores(p_a, perf_values))
-
-    def draw():
+    flat_decides = h_current > MIN_ENTROPY
+    # low is None while tied holds the unscored draws of the first pool
+    low, tied = None, []  # tied: [(mutant, scores)]
+    for n in range(1, 50 * pool_target + 1):
         mutant = mutate_proposition(p_a, rng)
-        return mutant, _scores(mutant, perf_values)
-
-    # The pool cannot be full before draw number pool_target. A flat mutant
-    # (the MIN_ENTROPY sentinel) among those draws is below a non-flat p_a
-    # and is the earliest pool argmin, so the search ends with it at draw
-    # pool_target: the draws after it only advance rng, and no entropy is
-    # computed.
-    drawn = []
-    for attempt in range(pool_target):
-        mutant, scores = draw()
-        if h_current > MIN_ENTROPY and max(scores) == min(scores):
-            for _ in range(attempt + 1, pool_target):
-                mutate_proposition(p_a, rng)
-            return EvolutionOutcome(mutant, True)
-        drawn.append((mutant, scores))
-
-    pool: list[tuple[float, int, Proposition]] = []
-    capped = True
-    for attempt in range(50 * pool_target):
-        mutant, scores = drawn[attempt] if attempt < pool_target else draw()
-        h = entropy(scores)
-        pool.append((h, attempt, mutant))
-        if len(pool) > pool_target:
-            pool.remove(max(pool, key=lambda e: (e[0], -e[1])))
-        if len(pool) >= pool_target and min(e[0] for e in pool) < h_current:
-            capped = False
-            break
-    best = min(pool, key=lambda e: (e[0], e[1]))
-    return EvolutionOutcome(best[2], not capped and best[0] < h_current)
+        if not (flat_decides and low == MIN_ENTROPY):
+            scores = _scores(mutant, perf_values)
+            if flat_decides and max(scores) == min(scores):
+                low, tied = MIN_ENTROPY, [(mutant, scores)]
+            elif low is None:
+                tied.append((mutant, scores))
+            else:
+                h = entropy(scores)
+                if h < low:
+                    low, tied = h, []
+                if h == low:
+                    tied.append((mutant, scores))
+        if low is None and n == pool_target:
+            hs = [entropy(scores) for _, scores in tied]
+            low = min(hs)
+            tied = [draw for draw, h in zip(tied, hs) if h == low]
+        if n >= pool_target and low < h_current:
+            return EvolutionOutcome(*tied[0], by_entropy=True)
+    return EvolutionOutcome(*tied[max(0, len(tied) - pool_target)],
+                            by_entropy=False)

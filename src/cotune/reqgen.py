@@ -47,8 +47,18 @@ class GenSpec:
     def __post_init__(self):
         if not all(0.0 < d <= 1.0 for d in self.d_levels):
             raise ValueError("d levels must lie in (0, 1]")
+        levels = [f"{d:g}" for d in self.d_levels]  # as labels() has them
+        if len(set(levels)) < len(levels):
+            raise ValueError("d levels must differ in their first 6 "
+                             f"significant digits: {', '.join(levels)}")
         if not 1 <= self.types <= len(TYPE_PATTERNS):
             raise ValueError(f"types must be between 1 and {len(TYPE_PATTERNS)}")
+
+    def labels(self) -> list:
+        """Each requirement's label, t<type>_d<level>, in generate_suite's
+        order; it names the requirement's file and its sweep cell."""
+        return [f"t{t + 1}_d{d:g}" for t in range(self.types)
+                for d in self.d_levels]
 
     def tolerance(self, d: float, space_size: int) -> float:
         return max(RELATIVE_TOLERANCE * d, 1.0 / space_size)
@@ -202,8 +212,8 @@ def generate_suite(landscape: Landscape, spec: GenSpec,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for entry in entries:
-            fname = f"req_t{entry.type_index + 1}_d{entry.d_requested:g}.json"
+        for entry, label in zip(entries, spec.labels()):
+            fname = f"req_{label}.json"
             payload = entry.proposition.to_json()
             payload["metadata"] = {
                 "landscape": landscape.name,

@@ -120,35 +120,6 @@ def _measure_until_exhausted(landscape, meter, configs):
     return measured
 
 
-def _guarded_escape(p_a, pop_a, entropy, pool_target, rng):
-    """Case-2 escape that never leaves p_a scoring the population flat.
-
-    ``pop_a``'s fitness is p_a's score of each member. When every member has
-    the same score, p_a is at the MIN_ENTROPY sentinel and no mutant has
-    strictly lower entropy: the search could only run to its attempt cap, so
-    it is skipped without drawing from rng. A result that scores the
-    population flat discriminates nothing and is rejected. Either way p_a is
-    kept, the outcome is flagged and the second element of the returned
-    triple gives the reason. When the escape result is adopted the reason is
-    None and the third element holds its scores on ``pop_a``, else it is
-    None. ``entropy`` maps a tuple of scores to its entropy and is passed on
-    to the escape.
-    """
-    kept = reqevolve.EvolutionOutcome(p_a, False)
-    fitness = [m.fitness for m in pop_a]
-    if max(fitness) == min(fitness):
-        return kept, "p_a scores pop_a with zero variance; escape skipped", None
-    perfs_a = [m.perf for m in pop_a]
-    outcome = reqevolve.escape_case2(p_a, perfs_a, pool_target, rng,
-                                     entropy=entropy)
-    mutant = outcome.proposition
-    scores = reqevolve._scores(mutant, perfs_a)
-    if max(scores) == min(scores):
-        return kept, (f"escape result {mutant.encode()} scores pop_a with "
-                      "zero variance; rejected"), None
-    return outcome, None, scores
-
-
 def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                seed: int, label: str = "CoTune",
                meter: BudgetMeter | None = None) -> TunerResult:
@@ -251,8 +222,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
             perfs_a = [m.perf for m in pop_a]
             old_p_a = p_a
             old_entropy = entropy_pa()
-            reason = None
-            fitness = None  # the new p_a's scores on pop_a, if already known
+            outcome = reason = None  # a reason keeps p_a, flagged
             try:
                 if case == reqevolve.CASE0:
                     outcome = reqevolve.relax_case0(
@@ -260,24 +230,30 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                 elif case == reqevolve.CASE1:
                     outcome = reqevolve.tighten_case1(
                         p_a, perfs_a, rng, entropy=entropy)
+                elif len({m.fitness for m in pop_a}) == 1:
+                    # p_a (whose scores pop_a's fitness holds) is at the
+                    # sentinel: the escape could only run to its cap
+                    reason = "p_a scores pop_a with zero variance; escape skipped"
                 else:
-                    outcome, reason, fitness = _guarded_escape(
-                        p_a, pop_a, entropy, n, rng)
-                p_a = outcome.proposition
+                    outcome = reqevolve.escape_case2(
+                        p_a, perfs_a, n, rng, entropy=entropy)
+                    # a result that scores pop_a flat discriminates nothing
+                    if max(outcome.scores) == min(outcome.scores):
+                        reason = (f"escape result {outcome.proposition.encode()}"
+                                  " scores pop_a with zero variance; rejected")
             except reqevolve.RequirementEvolutionError as exc:
-                outcome = None
                 result.events.append({
                     "iteration": iteration, "case": case, "error": str(exc)})
-            if p_a != old_p_a:
-                if fitness is None:
-                    fitness = [p_a.evaluate(m.perf) for m in pop_a]
-                pop_a = [replace(m, fitness=f) for m, f in zip(pop_a, fitness)]
-                pa_changed_last = True
-            if outcome is not None:
+            else:
+                if reason is None and outcome.proposition != p_a:
+                    p_a = outcome.proposition
+                    pop_a = [replace(m, fitness=f)
+                             for m, f in zip(pop_a, outcome.scores)]
+                    pa_changed_last = True
                 event = {
                     "iteration": iteration,
                     "case": case,
-                    "flagged": not outcome.by_entropy,
+                    "flagged": reason is not None or not outcome.by_entropy,
                     "old_encoding": old_p_a.encode(),
                     "new_encoding": p_a.encode(),
                     "old_integral": old_p_a.integral(),

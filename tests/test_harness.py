@@ -33,6 +33,7 @@ from cotune.harness import (
     scott_knott_esd,
 )
 from cotune.landscape import load_csv, synth, write_csv
+from cotune.reqgen import GenSpec, generate_target
 from cotune.requirement import Fragment, Proposition
 from cotune.tuners import (
     TUNER_KINDS,
@@ -450,6 +451,11 @@ def config_obj(tmp_path, **changes):
     }
 
 
+def with_setting(**setting):
+    """Config file content from tmp_path: config_obj with one setting."""
+    return lambda tmp: json.dumps(config_obj(tmp, **setting))
+
+
 # case -> (config file content from tmp_path, or None for no file; what the
 # error names)
 MALFORMED = {
@@ -462,6 +468,22 @@ MALFORMED = {
         tmp, landscapes=["land.csv"])), "list of JSON objects"),
     "not JSON": (lambda tmp: "{", "cannot read"),
     "missing file": (lambda tmp: None, "cannot read"),
+    "jobs as a string": (with_setting(jobs="2"), "jobs must be an integer"),
+    "jobs as a float": (with_setting(jobs=2.0), "jobs must be an integer"),
+    "jobs 0": (with_setting(jobs=0), "jobs must be at least 1"),
+    "jobs -1": (with_setting(jobs=-1), "jobs must be at least 1"),
+    "repeats as a float": (with_setting(repeats=2.5),
+                           "repeats must be an integer"),
+    "repeats as a string": (with_setting(repeats="3"),
+                            "repeats must be an integer"),
+    "seed_base as a float": (with_setting(seed_base=1.5),
+                             "seed_base must be an integer"),
+    "seed_base as a boolean": (with_setting(seed_base=True),
+                               "seed_base must be an integer"),
+    "early_stop as a string": (with_setting(early_stop="no"),
+                               "early_stop must be true or false"),
+    "early_stop as a number": (with_setting(early_stop=0),
+                               "early_stop must be true or false"),
 }
 
 
@@ -499,6 +521,16 @@ class TestConfigLoading:
         config_path = write_config(tmp_path, content(tmp_path))
         with pytest.raises(HarnessError, match=match):
             ExperimentConfig.from_json(config_path)
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_flag_below_1_exits_1(self, tmp_path, capsys, jobs):
+        config_path = write_config(tmp_path, json.dumps(config_obj(tmp_path)))
+        assert cli_main(["run", "--config", str(config_path),
+                         "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "jobs must be at least 1" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params, match", [
         ({"popsize": 4}, "popsize"),
@@ -581,7 +613,8 @@ class TestLandscapeEntries:
 class TestRequirementEntries:
     @pytest.mark.parametrize("case", [
         "file that is not JSON", "file without fragments",
-        "neither file nor gen", "gen that GenSpec rejects"])
+        "neither file nor gen", "gen that GenSpec rejects",
+        "gen with an unknown key"])
     def test_bad_requirement_entry_exits_1(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
         entry, match = {
@@ -591,6 +624,9 @@ class TestRequirementEntries:
             "neither file nor gen": ({"nope": 1}, "needs 'file' or 'gen'"),
             "gen that GenSpec rejects": ({"gen": {"types": 9}},
                                          "types must be between"),
+            "gen with an unknown key": (
+                {"gen": {"d_level": [0.5], "type": 1}},
+                "unexpected keyword argument 'd_level'"),
         }[case]
         bad.write_text("{" if case == "file that is not JSON" else "{}")
         config = config_obj(tmp_path, requirements=[entry])
@@ -603,6 +639,36 @@ class TestRequirementEntries:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "run(s) failed" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["gen entries of two seeds",
+                                      "unnamed files of one stem"])
+    def test_requirements_of_one_label_exit_1(self, tmp_path, capsys, case):
+        # results are filed by requirement label, so these would share
+        # trajectory files and summary cells
+        if case == "gen entries of two seeds":
+            entries = [{"gen": {"d_levels": [0.5], "types": 1, "seed": s}}
+                       for s in (0, 1)]
+            label = "t1_d0.5"
+        else:
+            land = synth(seed=1, n_options=6, domain_sizes=2,
+                         shape="additive")
+            entries = []
+            for sub, d in (("a", 0.2), ("b", 0.9)):
+                path = tmp_path / sub / "req.json"
+                path.parent.mkdir()
+                prop = generate_target(land, d, GenSpec(), random.Random(0))
+                path.write_text(prop.dumps())
+                entries.append({"file": f"{sub}/req.json"})
+            label = "req"
+        config_path = write_config(tmp_path, json.dumps(config_obj(
+            tmp_path, requirements=entries)))
+        with pytest.raises(HarnessError, match=f"labelled '{label}'"):
+            run_experiment(ExperimentConfig.from_json(config_path))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_uncalibratable_landscape_is_a_failure(self, tmp_path):
@@ -788,6 +854,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "nope.csv" in err
+
+    def test_gen_reqs_with_levels_that_format_alike(self, tmp_path, capsys):
+        land_csv = tmp_path / "land.csv"
+        write_csv(synth(seed=1, n_options=6, domain_sizes=2,
+                        shape="additive"), land_csv)
+        out = tmp_path / "reqs"
+        assert cli_main(["gen-reqs", "--landscape", str(land_csv),
+                         "--d", "0.5,0.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "first 6 significant digits" in err
+        assert not out.exists()
 
     def test_gen_reqs_on_an_uncalibratable_landscape(self, tmp_path, capsys):
         # half of this plateau landscape cannot be cut off within tolerance

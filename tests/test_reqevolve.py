@@ -1,5 +1,6 @@
 """Tests for auxiliary-proposition evolution."""
 
+import itertools
 import random
 
 import pytest
@@ -199,15 +200,21 @@ class TestMutate:
 
 class TestEscape:
     def test_returns_pool_argmin(self):
-        # independent replay of the pool process on the same draw stream
+        # independent replay of the pool process on the same draw stream;
+        # from the sentinel start every draw ties, so the cap's tie rule
+        # decides
         p = prop_strict()
-        perfs = [0.5, 1.2, 1.5, 1.8, 5.0]
         pool_target = 5
-        for seed in range(10):
-            out = escape_case2(p, perfs, pool_target, random.Random(seed))
-            expected, _ = replay_escape(p, perfs, pool_target,
-                                        random.Random(seed))
+        for perfs, seed in itertools.product(
+                ([0.5, 1.2, 1.5, 1.8, 5.0], [5.0, 6.0, 9.0]), range(10)):
+            rng, replay_rng = random.Random(seed), random.Random(seed)
+            out = escape_case2(p, perfs, pool_target, rng)
+            expected, by_entropy = replay_escape(p, perfs, pool_target,
+                                                 replay_rng)
             assert out.proposition == expected
+            assert out.by_entropy == by_entropy
+            assert rng.getstate() == replay_rng.getstate()
+            assert out.scores == tuple(expected.evaluate(v) for v in perfs)
 
     def test_flat_mutant_in_the_first_pool_ends_the_search_unscored(self):
         # a mutant scoring every value alike has the sentinel entropy, below

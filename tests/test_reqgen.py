@@ -35,6 +35,10 @@ class TestGenSpec:
             GenSpec(d_levels=(0.0, 0.5))
         with pytest.raises(ValueError):
             GenSpec(d_levels=(1.5,))
+        # a level's file name and sweep label hold it formatted with :g
+        for alike in ((0.5, 0.5), (0.2, 0.12345671, 0.12345674)):
+            with pytest.raises(ValueError, match="first 6 significant"):
+                GenSpec(d_levels=alike)
 
     def test_tolerance_floor(self):
         spec = GenSpec()

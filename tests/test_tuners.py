@@ -190,74 +190,81 @@ class TestStagnationEscape:
         assert all(h > MIN_ENTROPY for h in starts)
         assert skipped > 0
 
+    @classmethod
+    def evaluation_trace(cls, monkeypatch):
+        """Run SEEDS on strict_setup, counting Proposition.evaluate calls.
+
+        Returns, per run, its events, the iterations at which an escape ran,
+        each iteration's evaluations beyond scoring its newcomers, and per
+        escape its result and the evaluations made after it returned and
+        before the next measurements (or the run's end). An iteration scores
+        each newcomer once under p_a, and each configuration new to the run
+        once under p_t; everything else it evaluates happens in step (d).
+        """
+        evaluations = 0
+        real_evaluate = Proposition.evaluate
+        real_escape = reqevolve.escape_case2
+        real_measure = tuners._measure_until_exhausted
+        # per iteration: the count when it measures, and that count plus
+        # its newcomers' scores
+        starts, owed = [], []
+        escapes = []  # per escape: (iteration, outcome, count on return)
+
+        def counted(self, v):
+            nonlocal evaluations
+            evaluations += 1
+            return real_evaluate(self, v)
+
+        def escape_spy(*args, **kwargs):
+            outcome = real_escape(*args, **kwargs)
+            escapes.append((len(starts), outcome, evaluations))
+            return outcome
+
+        def measure_spy(landscape, meter, configs):
+            consumed = meter.consumed
+            starts.append(evaluations)
+            measured = real_measure(landscape, meter, configs)
+            owed.append(evaluations + len(measured) + meter.consumed - consumed)
+            return measured
+
+        monkeypatch.setattr(Proposition, "evaluate", counted)
+        monkeypatch.setattr(reqevolve, "escape_case2", escape_spy)
+        monkeypatch.setattr(tuners, "_measure_until_exhausted", measure_spy)
+        land, p_t, params = cls.strict_setup()
+        runs = []
+        for seed in cls.SEEDS:
+            for trace in (starts, owed, escapes):
+                trace.clear()
+            r = cotune_run(land, p_t, params, seed=seed)
+            ends = starts[1:] + [evaluations]  # each iteration's last count
+            step_d = {it: end - o  # iterations are numbered from 1
+                      for it, (end, o) in enumerate(zip(ends, owed), 1)}
+            after = [(outcome, ends[it - 1] - at) for it, outcome, at in escapes]
+            runs.append((r.events, {it for it, _, _ in escapes}, step_d, after))
+        return runs
+
     def test_skipped_escape_scores_nothing(self, monkeypatch):
         # pop_a's fitness already holds p_a's scores, so deciding to skip
         # the escape needs no Proposition.evaluate call
-        land, p_t, params = self.strict_setup()
-        evaluations = 0
-        real_evaluate = Proposition.evaluate
-
-        def counted(self, v):
-            nonlocal evaluations
-            evaluations += 1
-            return real_evaluate(self, v)
-
-        real_guard = tuners._guarded_escape
-        skipped_costs = []
-
-        def guard(*args, **kwargs):
-            before = evaluations
-            outcome, reason, fitness = real_guard(*args, **kwargs)
-            if reason is not None and "skipped" in reason:
-                skipped_costs.append(evaluations - before)
-            return outcome, reason, fitness
-
-        monkeypatch.setattr(Proposition, "evaluate", counted)
-        monkeypatch.setattr(tuners, "_guarded_escape", guard)
-        for seed in self.SEEDS:
-            cotune_run(land, p_t, params, seed=seed)
-        assert skipped_costs
-        assert skipped_costs == [0] * len(skipped_costs)
+        skipped = 0
+        for events, escaped, step_d, _ in self.evaluation_trace(monkeypatch):
+            for e in events:
+                if "skipped" in e.get("reason", ""):
+                    skipped += 1
+                    assert e["iteration"] not in escaped
+                    assert step_d[e["iteration"]] == 0
+        assert skipped > 0
 
     def test_adopted_escape_result_is_not_scored_again(self, monkeypatch):
-        # the guard scores an escape result on pop_a to test it for
-        # flatness; an adopted result's refit reuses those scores, so
-        # nothing is evaluated between the guard and the next measurements
-        land, p_t, params = self.strict_setup()
-        evaluations = 0
-        real_evaluate = Proposition.evaluate
-        real_guard = tuners._guarded_escape
-        real_measure = tuners._measure_until_exhausted
-        adopted_at = None
-        after_adoption = []
-
-        def counted(self, v):
-            nonlocal evaluations
-            evaluations += 1
-            return real_evaluate(self, v)
-
-        def guard(*args, **kwargs):
-            nonlocal adopted_at
-            outcome, reason, fitness = real_guard(*args, **kwargs)
-            if reason is None:
-                adopted_at = evaluations
-            return outcome, reason, fitness
-
-        def measure_spy(*args, **kwargs):
-            nonlocal adopted_at
-            if adopted_at is not None:
-                after_adoption.append(evaluations - adopted_at)
-                adopted_at = None
-            return real_measure(*args, **kwargs)
-
-        monkeypatch.setattr(Proposition, "evaluate", counted)
-        monkeypatch.setattr(tuners, "_guarded_escape", guard)
-        monkeypatch.setattr(tuners, "_measure_until_exhausted", measure_spy)
-        for seed in self.SEEDS:
-            cotune_run(land, p_t, params, seed=seed)
-            adopted_at = None
-        assert after_adoption
-        assert after_adoption == [0] * len(after_adoption)
+        # escape_case2 returns its result's scores on pop_a: the flatness
+        # test and an adopted result's refit reuse them, so nothing is
+        # evaluated between the escape and the next measurements
+        adopted = 0
+        for _, _, _, after in self.evaluation_trace(monkeypatch):
+            for outcome, cost in after:
+                adopted += max(outcome.scores) > min(outcome.scores)
+                assert cost == 0
+        assert adopted > 0
 
 
 class TestEntropyReuse:
