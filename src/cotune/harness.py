@@ -3,18 +3,21 @@
 A sweep is landscapes x requirements x tuners x seeds. Each run writes one
 trajectory CSV under ``<out>/<landscape>/<req>/<tuner>/seed<k>.csv``; the
 sweep writes ``summary.csv`` (mean, std and rank per cell and tuner) plus
-``manifest.json`` with the resolved configuration, the runs it wrote and the
-failure log; ``read_trajectories`` reads back the runs that it lists.
+``manifest.json`` with the resolved configuration, a record of each run it
+wrote (its key and final best score) and the failure log. ``_cells`` builds
+the ranked cells from those records, for ``summary.csv`` and for
+``rank_results``; only ``emit_trajectory_plots_data`` reads trajectories.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,26 @@ class HarnessError(ValueError):
     pass
 
 
+def _check_name(kind: str, name) -> None:
+    """Raise HarnessError unless name is one path component: results are
+    filed under ``<out>/<landscape>/<req>/<tuner>``, and any other name
+    would write outside its cell or out_dir."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or "/" in name or "\\" in name):
+        raise HarnessError(f"{kind} name {name!r} must be one path "
+                           "component: not empty, '.' or '..', and without "
+                           "'/' or '\\'")
+
+
+def _tuner_params(spec, early_stop: bool):
+    """The TunerParams of one tuner's runs; params that TunerParams rejects
+    raise HarnessError."""
+    try:
+        return tuners.TunerParams(early_stop=early_stop, **spec.params)
+    except (TypeError, ValueError) as exc:
+        raise HarnessError(f"tuner {spec.name!r}: {exc}") from None
+
+
 @dataclass
 class TunerSpec:
     name: str
@@ -47,6 +70,7 @@ class TunerSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_name("tuner", self.name)
         kind_of = {label: k for k, (label, *_) in tuners.TUNER_KINDS.items()}
         self.kind = self.kind or kind_of.get(self.name, "")
         if self.kind not in tuners.TUNER_KINDS:
@@ -81,6 +105,15 @@ class ExperimentConfig:
             t if isinstance(t, TunerSpec) else TunerSpec(**t)
             for t in self.tuners
         ]
+        # results are filed by tuner name: two tuners of one name would
+        # share trajectory files and summary cells
+        names = [t.name for t in self.tuners]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise HarnessError(f"two tuners are named {repeated[0]!r}; give "
+                               "each a distinct 'name'")
+        for spec in self.tuners:
+            _tuner_params(spec, self.early_stop)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -152,7 +185,8 @@ def _load_requirements(entries) -> list:
     labelled by its 'name' or file stem, or a GenSpec, which only a landscape
     can resolve, with its labels(). A file that cannot be read or parsed, a
     spec that GenSpec rejects (or with an unknown key), an entry with neither
-    key, and two requirements of one label raise HarnessError."""
+    key, a label that is not one path component, and two requirements of
+    one label raise HarnessError."""
     out = []
     for entry in entries:
         if "file" not in entry and "gen" not in entry:
@@ -174,6 +208,8 @@ def _load_requirements(entries) -> list:
     # results are filed by requirement label: two requirements of one label
     # would share trajectory files and summary cells
     labels = [label for item_labels, _ in out for label in item_labels]
+    for label in labels:
+        _check_name("requirement", label)
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise HarnessError(
@@ -193,8 +229,11 @@ def _resolve_requirements(loaded, land):
     return out
 
 
-def _trajectory_path(out: Path, landscape, requirement, tuner, seed) -> Path:
-    return out / landscape / requirement / tuner / f"seed{seed}.csv"
+def _trajectory_path(out: Path, run) -> Path:
+    """Where the trajectory of a run, identified by its record's landscape,
+    requirement, tuner and seed, is filed under out."""
+    return (out / run["landscape"] / run["requirement"] / run["tuner"]
+            / f"seed{run['seed']}.csv")
 
 
 def _write_trajectory(path: Path, result) -> None:
@@ -214,23 +253,20 @@ def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
     be written, is logged as a failure, never fatal, and so is a landscape
     on which a generation spec cannot be calibrated. A landscape entry that
-    ``_check_landscape_entry`` rejects, a landscape that cannot be built, a
-    requirement entry that ``_load_requirements`` rejects, a tuner's params
-    that ``TunerParams`` rejects, or two landscapes or two requirements of
-    one name, raise HarnessError before any run starts.
+    ``_check_landscape_entry`` rejects, a landscape that cannot be built or
+    whose name is not one path component, a requirement entry that
+    ``_load_requirements`` rejects, a tuner's params that ``TunerParams``
+    rejects, or two landscapes or two requirements of one name, raise
+    HarnessError before any run starts.
 
-    Returns a dict with the output directory, the summary rows, the failure
-    log and the best-rank roll-up. Deterministic for a fixed seed base.
+    Returns a dict with the output directory, the failure log and the
+    best-rank roll-up. Deterministic for a fixed seed base.
     """
     for entry in config.landscapes:
         _check_landscape_entry(entry)
-    run_params = []  # each tuner's TunerParams, in config.tuners order
-    for spec in config.tuners:
-        try:
-            run_params.append(tuners.TunerParams(
-                early_stop=config.early_stop, **spec.params))
-        except (TypeError, ValueError) as exc:
-            raise HarnessError(f"tuner {spec.name!r}: {exc}") from None
+    # each tuner's TunerParams, in config.tuners order
+    run_params = [_tuner_params(spec, config.early_stop)
+                  for spec in config.tuners]
     lands, names = [], set()
     for entry in config.landscapes:
         try:
@@ -239,6 +275,7 @@ def run_experiment(config: ExperimentConfig):
         # rejects (TypeError: a value of the wrong type)
         except (OSError, ValueError, TypeError) as exc:
             raise HarnessError(f"landscape {entry}: {exc}") from None
+        _check_name("landscape", land.name)
         # results are filed by landscape name: two landscapes of one name
         # would share trajectory files and summary cells
         if land.name in names:
@@ -250,8 +287,7 @@ def run_experiment(config: ExperimentConfig):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = []
-    written = []  # the runs whose trajectories this sweep wrote
-    cells = {}  # (landscape, req) -> {tuner: [best scores]}
+    records = []  # each run whose trajectory was written, with its best
 
     work = []
     for land in lands:
@@ -267,12 +303,14 @@ def run_experiment(config: ExperimentConfig):
 
     def execute(item):
         land, req_name, prop, spec, params, k = item
+        run = {"landscape": land.name, "requirement": req_name,
+               "tuner": spec.name, "seed": k}
         try:
             result = tuners.run_tuner(spec.kind, land, prop, params,
                                       config.seed_base + k, label=spec.name)
         except Exception as exc:  # noqa: BLE001
-            return (land.name, req_name, spec.name, k, None, str(exc))
-        return (land.name, req_name, spec.name, k, result, None)
+            return run, None, str(exc)
+        return run, result, None
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -280,45 +318,36 @@ def run_experiment(config: ExperimentConfig):
     else:
         outcomes = [execute(item) for item in work]
 
-    for land_name, req_name, tuner_name, k, result, error in outcomes:
-        run = {"landscape": land_name, "requirement": req_name,
-               "tuner": tuner_name, "seed": k}
+    for run, result, error in outcomes:
         if error is None:
             try:
-                _write_trajectory(_trajectory_path(
-                    out, land_name, req_name, tuner_name, k), result)
+                _write_trajectory(_trajectory_path(out, run), result)
             except OSError as exc:
                 error = f"trajectory not written: {exc}"
         if error is not None:
             failures.append({**run, "error": error})
-            continue
-        written.append(run)
-        cells.setdefault((land_name, req_name), {}).setdefault(
-            tuner_name, []).append(result.best_score)
+        else:
+            records.append({**run, "best": result.best_score})
 
-    summary_rows = []
     best_rank_counts = {spec.name: 0 for spec in config.tuners}
-    for (land_name, req_name) in sorted(cells):
-        samples = cells[(land_name, req_name)]
-        cell = rank_cell(samples)
-        for spec in config.tuners:
-            if spec.name not in cell:
-                summary_rows.append([land_name, req_name, spec.name,
-                                     "", "", "", 0, "x"])
-                continue
-            mean, std, rank = cell[spec.name]
-            if rank == 1:
-                best_rank_counts[spec.name] += 1
-            summary_rows.append([
-                land_name, req_name, spec.name, repr(mean), repr(std),
-                "" if rank is None else rank, len(samples[spec.name]), "",
-            ])
-
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["landscape", "requirement", "tuner",
                          "mean", "std", "rank", "runs", "failed"])
-        writer.writerows(summary_rows)
+        for (land_name, req_name), samples in _cells(records):
+            cell = rank_cell(samples)
+            for spec in config.tuners:
+                if spec.name not in cell:
+                    writer.writerow([land_name, req_name, spec.name,
+                                     "", "", "", 0, "x"])
+                    continue
+                mean, std, rank = cell[spec.name]
+                if rank == 1:
+                    best_rank_counts[spec.name] += 1
+                writer.writerow([
+                    land_name, req_name, spec.name, repr(mean), repr(std),
+                    "" if rank is None else rank, len(samples[spec.name]), "",
+                ])
 
     manifest = {
         "config": {
@@ -332,7 +361,7 @@ def run_experiment(config: ExperimentConfig):
             "seed_base": config.seed_base,
             "early_stop": config.early_stop,
         },
-        "runs": written,
+        "runs": records,
         "failures": failures,
         "best_rank_counts": best_rank_counts,
     }
@@ -341,7 +370,6 @@ def run_experiment(config: ExperimentConfig):
 
     return {
         "out_dir": str(out),
-        "summary": summary_rows,
         "failures": failures,
         "best_rank_counts": best_rank_counts,
     }
@@ -507,48 +535,40 @@ def rank_cell(samples: dict, test: str = "welch") -> dict:
             for t, s in samples.items()}
 
 
-def read_trajectories(result_dir):
-    """(runs, missing) of the latest sweep in result_dir.
+def _cells(records) -> list:
+    """[((landscape, requirement), {tuner: [best, ...]})] of run records,
+    in sorted cell order; each tuner's scores keep the records' order."""
+    cells = {}
+    for run in records:
+        cell = cells.setdefault((run["landscape"], run["requirement"]), {})
+        cell.setdefault(run["tuner"], []).append(run["best"])
+    return [(key, cells[key]) for key in sorted(cells)]
 
-    Only the runs that its ``manifest.json`` lists are read, so trajectories
-    an earlier sweep left in the directory are not mixed in. runs holds
-    ((landscape, requirement, tuner, seed), [(budget_used, best_pt_score)])
-    pairs in sweep order; missing, each listed file that is absent or empty.
-    """
-    result_dir = Path(result_dir)
+
+def _manifest_runs(result_dir) -> list:
+    """The run records of the latest sweep in result_dir: the ones its
+    ``manifest.json`` lists, so that files an earlier sweep left in the
+    directory are not mixed in."""
     try:
-        listed = json.loads((result_dir / "manifest.json").read_text(
+        return json.loads((Path(result_dir) / "manifest.json").read_text(
             encoding="utf-8"))["runs"]
     except (FileNotFoundError, KeyError):
         raise HarnessError(
             f"no manifest.json listing the runs under {result_dir}") from None
-    runs, missing = [], []
-    for run in listed:
-        key = (run["landscape"], run["requirement"], run["tuner"], run["seed"])
-        path = _trajectory_path(result_dir, *key)
-        points = []
-        if path.exists():
-            with open(path, newline="", encoding="utf-8") as fh:
-                points = [(int(row["budget_used"]), float(row["best_pt_score"]))
-                          for row in csv.DictReader(fh)]
-        if points:
-            runs.append((key, points))
-        else:
-            missing.append(str(path))
-    return runs, missing
 
 
 def rank_results(result_dir, test: str = "welch") -> list:
     """[((landscape, requirement), [(tuner, mean, std, rank), ...])] for
     each cell of the latest sweep in result_dir with two or more ranked
-    tuners, re-ranked from the trajectories; best rank first, ties by name."""
-    cells = {}  # (landscape, req) -> {tuner: [final best scores]}
-    for (land, req, tuner, _), points in read_trajectories(result_dir)[0]:
-        cells.setdefault((land, req), {}).setdefault(tuner, []).append(
-            points[-1][1])
+    tuners, re-ranked from the runs' records in ``manifest.json``; best rank
+    first, ties by name."""
+    records = _manifest_runs(result_dir)
+    if any("best" not in run for run in records):
+        raise HarnessError(f"manifest.json under {result_dir} records no "
+                           "final best score per run; run the sweep again")
     out = []
-    for key in sorted(cells):
-        cell = rank_cell(cells[key], test)
+    for key, samples in _cells(records):
+        cell = rank_cell(samples, test)
         ranked = sorted((rank, t) for t, (*_, rank) in cell.items()
                         if rank is not None)
         if len(ranked) >= 2:
@@ -561,37 +581,39 @@ def emit_trajectory_plots_data(result_dir):
 
     Each tuner's best-so-far curves (over every cell and seed) are resampled
     onto a common budget grid every PLOT_STEP and summarized as mean with a
-    normal-theory 95% confidence interval. Returns (rows, missing) and
-    writes them to ``trajectories.csv`` in result_dir.
+    normal-theory 95% confidence interval. Returns (rows, missing), missing
+    being each listed trajectory that is absent or empty, and writes the
+    rows to ``trajectories.csv`` in result_dir.
     """
     result_dir = Path(result_dir)
-    curves = {}  # tuner -> list of [(budget, best), ...]
-    runs, missing = read_trajectories(result_dir)
-    for (_, _, tuner, _), points in runs:
-        curves.setdefault(tuner, []).append(points)
+    curves = {}  # tuner -> [(budgets, bests), ...], budgets non-decreasing
+    missing = []
+    for run in _manifest_runs(result_dir):
+        path = _trajectory_path(result_dir, run)
+        points = []
+        if path.exists():
+            with open(path, newline="", encoding="utf-8") as fh:
+                points = [(int(row["budget_used"]), float(row["best_pt_score"]))
+                          for row in csv.DictReader(fh)]
+        if points:
+            curves.setdefault(run["tuner"], []).append(tuple(zip(*points)))
+        else:
+            missing.append(str(path))
     if not curves:
         raise HarnessError(f"no trajectories under {result_dir}")
 
     max_budget = max(
-        pts[-1][0] for runs in curves.values() for pts in runs)
+        budgets[-1] for runs in curves.values() for budgets, _ in runs)
     grid = list(range(0, max_budget + 1, PLOT_STEP))
     if grid[-1] != max_budget:
         grid.append(max_budget)
 
     rows = []
     for tuner in sorted(curves):
-        runs = curves[tuner]
         for budget in grid:
-            values = []
-            for pts in runs:
-                best = None
-                for b, s in pts:
-                    if b <= budget:
-                        best = s
-                    else:
-                        break
-                if best is not None:
-                    values.append(best)
+            # each run's best at its last point within this budget
+            values = [bests[i - 1] for budgets, bests in curves[tuner]
+                      if (i := bisect.bisect_right(budgets, budget))]
             if not values:
                 continue
             mean = statistics.fmean(values)

@@ -38,6 +38,19 @@ class TunerParams:
     enable_case2: bool = True
 
     def __post_init__(self):
+        for keys, types, what in (
+                (("budget", "population_size", "generations",
+                  "stagnation_cap"), int, "an integer"),
+                (("mutation_rate", "crossover_rate"), (int, float),
+                 "a number"),
+                (("early_stop", "enable_case0", "enable_case1",
+                  "enable_case2"), bool, "true or false")):
+            for key in keys:
+                value = getattr(self, key)
+                # a bool is an int, but only a switch takes one
+                if not isinstance(value, types) or (
+                        isinstance(value, bool) and types is not bool):
+                    raise TypeError(f"{key} must be {what}, not {value!r}")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0.0 <= self.crossover_rate <= 1.0:

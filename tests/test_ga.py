@@ -40,6 +40,19 @@ class TestParams:
         with pytest.raises(ValueError):
             TunerParams(population_size=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("budget", "60"), ("budget", 60.0), ("population_size", True),
+        ("generations", 2.5), ("stagnation_cap", None),
+        ("mutation_rate", "0.1"), ("crossover_rate", True),
+        ("early_stop", 1), ("enable_case0", "no"), ("enable_case2", None)])
+    def test_field_of_the_wrong_type(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            TunerParams(**{field: value})
+
+    def test_rates_take_an_int(self):
+        params = TunerParams(mutation_rate=1, crossover_rate=0)
+        assert (params.mutation_rate, params.crossover_rate) == (1, 0)
+
 
 class TestTournament:
     def test_better_wins_three_quarters(self):

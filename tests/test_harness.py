@@ -12,6 +12,7 @@ import statistics
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -311,16 +312,27 @@ class TestRunExperiment:
         assert (out / "summary.csv").exists()
 
     def test_parallel_matches_serial(self, tmp_path):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        serial = small_config(tmp_path / "a")
+        serial = small_config(tmp_path)
         run_experiment(serial)
-        parallel = small_config(tmp_path / "b")
-        parallel.jobs = 4
-        run_experiment(parallel)
-        a = (tmp_path / "a" / "out" / "summary.csv").read_bytes()
-        b = (tmp_path / "b" / "out" / "summary.csv").read_bytes()
-        assert a == b
+        # one landscape file, so that the manifests' configs are alike
+        run_experiment(replace(serial, out_dir=str(tmp_path / "parallel"),
+                               jobs=4))
+        for name in ("summary.csv", "manifest.json"):
+            a = (tmp_path / "out" / name).read_bytes()
+            b = (tmp_path / "parallel" / name).read_bytes()
+            assert a == b, name
+
+    def test_manifest_records_each_runs_final_best(self, tmp_path):
+        run_experiment(small_config(tmp_path))
+        out = tmp_path / "out"
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert len(runs) == 4
+        for run in runs:
+            path = (out / run["landscape"] / run["requirement"] / run["tuner"]
+                    / f"seed{run['seed']}.csv")
+            with open(path, newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert run["best"] == float(last["best_pt_score"])
 
 
 class TestTrajectoryData:
@@ -456,6 +468,17 @@ def with_setting(**setting):
     return lambda tmp: json.dumps(config_obj(tmp, **setting))
 
 
+def with_tuners(*tuners):
+    """Config file content from tmp_path: config_obj with these tuners."""
+    return with_setting(tuners=list(tuners))
+
+
+def with_param(**param):
+    """Config file content from tmp_path: config_obj whose one tuner has
+    this parameter besides its budget."""
+    return with_tuners({"name": "CoTune", "params": {"budget": 60, **param}})
+
+
 # case -> (config file content from tmp_path, or None for no file; what the
 # error names)
 MALFORMED = {
@@ -484,6 +507,25 @@ MALFORMED = {
                                "early_stop must be true or false"),
     "early_stop as a number": (with_setting(early_stop=0),
                                "early_stop must be true or false"),
+    "two tuners of one name": (with_tuners(
+        {"name": "CoTune", "params": {"budget": 60}},
+        {"name": "CoTune", "kind": "random", "params": {"budget": 60}}),
+        "two tuners are named 'CoTune'"),
+    "budget as a string": (with_param(budget="60"),
+                           "budget must be an integer"),
+    "budget as a boolean": (with_param(budget=True),
+                            "budget must be an integer"),
+    "generations as a float": (with_param(generations=2.5),
+                               "generations must be an integer"),
+    "mutation_rate as a boolean": (with_param(mutation_rate=False),
+                                   "mutation_rate must be a number"),
+    "enable_case0 as a string": (with_param(enable_case0="no"),
+                                 "enable_case0 must be true or false"),
+    "tuner named to climb out of its cell": (
+        with_tuners({"name": "../../escaped", "kind": "cotune"}),
+        "must be one path component"),
+    "tuner named ..": (with_tuners({"name": "..", "kind": "random"}),
+                       "must be one path component"),
 }
 
 
@@ -896,6 +938,86 @@ class TestCli:
     def test_rank_without_a_sweep(self, tmp_path, capsys):
         assert cli_main(["rank", "--results", str(tmp_path)]) == 1
         assert "manifest.json" in capsys.readouterr().err
+
+    @staticmethod
+    def sweep_with_a_failing_tuner(tmp_path):
+        """The output directory of a finished two-cell sweep, one of whose
+        three tuners fails every run."""
+        config = config_obj(
+            tmp_path,
+            requirements=[{"gen": {"d_levels": [0.2, 0.5], "types": 1}}],
+            tuners=[{"name": "CoTune", "params": {"budget": 60}},
+                    {"name": "Random", "params": {"budget": 60}},
+                    {"name": "Broken", "kind": "cotune",
+                     "params": {"budget": 5}}],
+            repeats=3)
+        config_path = write_config(tmp_path, json.dumps(config))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("test", ["welch", "kruskal"])
+    def test_rank_reads_no_trajectory(self, tmp_path, capsys, test):
+        # each run's final best is recorded in manifest.json
+        out = self.sweep_with_a_failing_tuner(tmp_path)
+        argv = ["rank", "--results", str(out), "--test", test]
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr()
+        assert printed.out.count(" / ") == 2
+        trajectories = list(out.glob("*/*/*/seed*.csv"))
+        assert len(trajectories) == 12
+        for path in trajectories:
+            path.unlink()
+        assert cli_main(argv) == 0
+        assert capsys.readouterr() == printed
+
+    def test_rank_on_a_manifest_without_final_bests(self, tmp_path, capsys):
+        # a manifest written before runs recorded their final best
+        out = self.sweep_with_a_failing_tuner(tmp_path)
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for run in manifest["runs"]:
+            del run["best"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli_main(["rank", "--results", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "run the sweep again" in captured.err
+
+    @pytest.mark.parametrize("case", [
+        "landscape named ..", "landscape named to climb out of out_dir",
+        "landscape named with a backslash", "requirement file named with a "
+        "slash", "requirement file named by an empty string"])
+    def test_name_that_is_not_one_path_component_exits_1(
+            self, tmp_path, capsys, case):
+        # results are filed under out_dir / landscape / requirement / tuner
+        land = {"synth": {"seed": 1, "n_options": 6, "domain_sizes": 2,
+                          "shape": "additive"}}
+        req = tmp_path / "req.json"
+        req.write_text(generate_target(
+            synth(**land["synth"]), 0.5, GenSpec(), random.Random(0)).dumps())
+        changes = {
+            "landscape named ..": {"landscapes": [{**land, "name": ".."}]},
+            "landscape named to climb out of out_dir": {
+                "landscapes": [{**land, "name": "../../escaped"}]},
+            "landscape named with a backslash": {
+                "landscapes": [{**land, "name": "a\\b"}]},
+            "requirement file named with a slash": {
+                "requirements": [{"file": "req.json", "name": "../req"}]},
+            "requirement file named by an empty string": {
+                "requirements": [{"file": "req.json", "name": ""}]},
+        }[case]
+        config_path = write_config(
+            tmp_path, json.dumps(config_obj(tmp_path, **changes)))
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "must be one path component" in captured.err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "escaped").exists()
 
     def test_run_partial_failure_exit_code(self, tmp_path):
         land_csv = tmp_path / "land.csv"
