@@ -14,7 +14,7 @@ from .landscape import (
     synth,
     write_csv,
 )
-from .requirement import Fragment, Proposition, PropositionError, decode, validate
+from .requirement import Fragment, Proposition, PropositionError, validate
 from .tuners import TunerParams, TunerResult, cotune_run, ga_run, random_run
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "TunerParams",
     "TunerResult",
     "cotune_run",
-    "decode",
     "differential_entropy",
     "ga_run",
     "load_csv",

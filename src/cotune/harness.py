@@ -15,6 +15,7 @@ import bisect
 import csv
 import json
 import math
+import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -97,6 +98,8 @@ class ExperimentConfig:
         if not isinstance(self.early_stop, bool):
             raise HarnessError(
                 f"early_stop must be true or false, not {self.early_stop!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise HarnessError(f"out_dir must be a path, not {self.out_dir!r}")
         if self.repeats < 2:
             raise HarnessError("repeats must be at least 2 for ranking")
         if self.jobs < 1:
@@ -119,7 +122,8 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         """Load a config file. A file that cannot be read or is not a JSON
         object, an unknown key, and a landscape or requirement entry that is
-        not an object or names a missing file raise HarnessError."""
+        not an object or whose path is not a string or names a missing file
+        raise HarnessError."""
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -140,6 +144,9 @@ class ExperimentConfig:
                     f"config {path}: {kind}s must be a list of JSON objects")
             for entry in entries:
                 if key in entry:
+                    if not isinstance(entry[key], str):
+                        raise HarnessError(f"config {path}: {kind} {key!r} "
+                                           f"must be a path, not {entry[key]!r}")
                     p = base / entry[key]
                     if not p.exists():
                         raise HarnessError(f"{kind} file missing: {p}")

@@ -2,10 +2,11 @@
 
 Three situations trigger a change, with decreasing commonality:
 
-* Case 0: every explored configuration is fully unsatisfied under both
-  propositions -> relax a right boundary until scores spread out.
-* Case 1: every auxiliary-population configuration is fully satisfied ->
-  tighten a left boundary until scores spread out.
+* Cases 0 and 1 are one edge shift in two directions, until scores spread
+  out. Case 0: every explored configuration is fully unsatisfied under both
+  propositions -> relax, moving a right edge toward v_max. Case 1: every
+  auxiliary-population configuration is fully satisfied -> tighten, moving
+  a left edge toward v_min.
 * Case 2: the best configuration on the target has stagnated -> random-search
   for a mutant proposition with strictly lower score entropy.
 
@@ -82,50 +83,74 @@ def _assert_valid(prop: Proposition):
         raise RequirementEvolutionError(f"evolved proposition invalid: {problems}")
 
 
-def _truncate_left(frag: Fragment, new_lo: float) -> Fragment:
-    s_lo = frag.score(new_lo)
-    return Fragment(frag.kind, new_lo, frag.v_hi,
-                    s_lo if frag.kind != "E" else frag.s_lo, frag.s_hi)
+def _clip(frag: Fragment, lo: float, hi: float) -> Fragment:
+    """frag cut to [lo, hi]: a G or S fragment is rescored at each edge that
+    moves, and an E fragment keeps its scores."""
+    if frag.kind == "E":
+        return Fragment("E", lo, hi, frag.s_lo, frag.s_hi)
+    s_lo = frag.score(lo) if lo != frag.v_lo else frag.s_lo
+    s_hi = frag.score(hi) if hi != frag.v_hi else frag.s_hi
+    return Fragment(frag.kind, lo, hi, s_lo, s_hi)
 
 
-def _truncate_right(frag: Fragment, new_hi: float) -> Fragment:
-    s_hi = frag.score(new_hi)
-    return Fragment(frag.kind, frag.v_lo, new_hi, frag.s_lo,
-                    s_hi if frag.kind != "E" else frag.s_hi)
-
-
-def _move_right_boundary(prop: Proposition, idx: int, new_b: float) -> Proposition:
-    """Move fragment idx's right edge to new_b (> current), absorbing any
-    fragments it fully overtakes and truncating a partially overtaken one."""
-    frags = list(prop.fragments)
+def _move_edge(prop: Proposition, idx: int, new_b: float,
+               relax: bool) -> tuple[Proposition, int]:
+    """Move fragment idx's right edge (relax) or left edge (tighten) out to
+    new_b, absorbing the neighbours it fully overtakes and clipping one it
+    partly overtakes. Returns the proposition and the moved fragment's new
+    index, which drops by the predecessors a tightening absorbs."""
+    frags = prop.fragments
     moved = frags[idx]
-    out = frags[:idx]
-    out.append(Fragment(moved.kind, moved.v_lo, new_b, moved.s_lo, moved.s_hi))
-    for frag in frags[idx + 1:]:
-        if frag.v_hi <= new_b:
-            continue
-        if frag.v_lo < new_b:
-            out.append(_truncate_left(frag, new_b))
-        else:
-            out.append(frag)
-    return Proposition(tuple(out))
+    if relax:
+        moved = Fragment(moved.kind, moved.v_lo, new_b, moved.s_lo, moved.s_hi)
+        after = [_clip(f, max(f.v_lo, new_b), f.v_hi)
+                 for f in frags[idx + 1:] if f.v_hi > new_b]
+        return Proposition((*frags[:idx], moved, *after)), idx
+    moved = Fragment(moved.kind, new_b, moved.v_hi, moved.s_lo, moved.s_hi)
+    before = [_clip(f, f.v_lo, min(f.v_hi, new_b))
+              for f in frags[:idx] if f.v_lo < new_b]
+    return Proposition((*before, moved, *frags[idx + 1:])), len(before)
 
 
-def _move_left_boundary(prop: Proposition, idx: int, new_b: float) -> Proposition:
-    """Mirror of _move_right_boundary for a leftward move of the left edge."""
-    frags = list(prop.fragments)
-    moved = frags[idx]
-    out = []
-    for frag in frags[:idx]:
-        if frag.v_lo >= new_b:
-            continue
-        if frag.v_hi > new_b:
-            out.append(_truncate_right(frag, new_b))
-        else:
-            out.append(frag)
-    out.append(Fragment(moved.kind, new_b, moved.v_hi, moved.s_lo, moved.s_hi))
-    out.extend(frags[idx + 1:])
-    return Proposition(tuple(out))
+def _shift_edge(p_a: Proposition, perf_values, rng: random.Random, entropy,
+                relax: bool) -> EvolutionOutcome:
+    """relax_case0 (relax) or tighten_case1: one loop, which moves the last
+    distinguishable fragment's right edge up or the first one's left edge
+    down."""
+    # sign * x orders values along the shift; b + -step is b - step exactly
+    sign, clamp, bound = (1, min, p_a.v_max) if relax else (-1, max, p_a.v_min)
+    order = range(len(p_a.fragments))
+    idx = next((i for i in (reversed(order) if relax else order)
+                if _distinguishable(p_a.fragments[i])), None)
+    if idx is None:
+        raise RequirementEvolutionError(
+            f"no distinguishable fragment to {'relax' if relax else 'tighten'}")
+
+    scores = _scores(p_a, perf_values)
+    h_old = entropy(scores)
+    base_area = p_a.integral()
+    current = p_a
+    while True:
+        frag = current.fragments[idx]
+        b = frag.v_hi if relax else frag.v_lo
+        if sign * b >= sign * bound:
+            return EvolutionOutcome(current, scores, False)
+        delta = rng.uniform(0.5, 1.0)
+        # the literal step b*delta moves a non-positive edge the wrong way
+        # or not at all; fall back to a fraction of the remaining headroom
+        step = b * delta if b > 0 else delta * abs(bound - b)
+        new_b = clamp(b + sign * step, bound)
+        if sign * new_b <= sign * b:
+            return EvolutionOutcome(current, scores, False)
+        current, idx = _move_edge(current, idx, new_b, relax)
+        _assert_valid(current)
+        if not sign * current.integral() > sign * base_area:
+            raise RequirementEvolutionError(
+                "relaxation did not grow the integral" if relax
+                else "tightening did not shrink the integral")
+        scores = _scores(current, perf_values)
+        if entropy(scores) > h_old:
+            return EvolutionOutcome(current, scores, True)
 
 
 def relax_case0(p_a: Proposition, perf_values, rng: random.Random, *,
@@ -137,38 +162,7 @@ def relax_case0(p_a: Proposition, perf_values, rng: random.Random, *,
     score entropy strictly exceeds the entropy under p_a or the boundary
     pins at v_max. The relaxed proposition always has a larger integral.
     """
-    v_max = p_a.v_max
-    idx = None
-    for i in range(len(p_a.fragments) - 1, -1, -1):
-        if _distinguishable(p_a.fragments[i]):
-            idx = i
-            break
-    if idx is None:
-        raise RequirementEvolutionError("no distinguishable fragment to relax")
-
-    scores = _scores(p_a, perf_values)
-    h_old = entropy(scores)
-    base_area = p_a.integral()
-    current = p_a
-    while True:
-        frag = current.fragments[idx]
-        b = frag.v_hi
-        if b >= v_max:
-            return EvolutionOutcome(current, scores, False)
-        delta = rng.uniform(0.5, 1.0)
-        # the literal step b*delta cannot advance a non-positive boundary;
-        # fall back to a fraction of the remaining headroom
-        step = b * delta if b > 0 else delta * (v_max - b)
-        new_b = min(b + step, v_max)
-        if new_b <= b:
-            return EvolutionOutcome(current, scores, False)
-        current = _move_right_boundary(current, idx, new_b)
-        _assert_valid(current)
-        if not current.integral() > base_area:
-            raise RequirementEvolutionError("relaxation did not grow the integral")
-        scores = _scores(current, perf_values)
-        if entropy(scores) > h_old:
-            return EvolutionOutcome(current, scores, True)
+    return _shift_edge(p_a, perf_values, rng, entropy, relax=True)
 
 
 def tighten_case1(p_a: Proposition, perf_values, rng: random.Random, *,
@@ -178,40 +172,7 @@ def tighten_case1(p_a: Proposition, perf_values, rng: random.Random, *,
     Mirror of relax_case0: the left boundary moves leftward toward v_min and
     the tightened proposition always has a smaller integral.
     """
-    v_min = p_a.v_min
-    idx = None
-    for i, frag in enumerate(p_a.fragments):
-        if _distinguishable(frag):
-            idx = i
-            break
-    if idx is None:
-        raise RequirementEvolutionError("no distinguishable fragment to tighten")
-
-    scores = _scores(p_a, perf_values)
-    h_old = entropy(scores)
-    base_area = p_a.integral()
-    current = p_a
-    while True:
-        frag = current.fragments[idx]
-        b = frag.v_lo
-        if b <= v_min:
-            return EvolutionOutcome(current, scores, False)
-        delta = rng.uniform(0.5, 1.0)
-        step = b * delta if b > 0 else delta * (b - v_min)
-        new_b = max(b - step, v_min)
-        if new_b >= b:
-            return EvolutionOutcome(current, scores, False)
-        # the leftmost distinguishable fragment may absorb its predecessors,
-        # shifting its own index
-        shift = sum(1 for f in current.fragments[:idx] if f.v_lo >= new_b)
-        current = _move_left_boundary(current, idx, new_b)
-        idx -= shift
-        _assert_valid(current)
-        if not current.integral() < base_area:
-            raise RequirementEvolutionError("tightening did not shrink the integral")
-        scores = _scores(current, perf_values)
-        if entropy(scores) > h_old:
-            return EvolutionOutcome(current, scores, True)
+    return _shift_edge(p_a, perf_values, rng, entropy, relax=False)
 
 
 def _switch_kind(prop: Proposition, idx: int, new_kind: str) -> Proposition:

@@ -45,6 +45,14 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a bool is an int, but neither a count, a seed nor a level
+        for key in ("types", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{key} must be an integer, not {value!r}")
+        for d in self.d_levels:
+            if not isinstance(d, (int, float)) or isinstance(d, bool):
+                raise TypeError(f"d levels must be numbers, not {d!r}")
         if not all(0.0 < d <= 1.0 for d in self.d_levels):
             raise ValueError("d levels must lie in (0, 1]")
         levels = [f"{d:g}" for d in self.d_levels]  # as labels() has them

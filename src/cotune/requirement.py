@@ -23,7 +23,7 @@ _EPS = 1e-9
 
 
 class PropositionError(ValueError):
-    """Raised when constructing or decoding an ill-formed proposition."""
+    """Raised when constructing or loading an ill-formed proposition."""
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,6 @@ class Proposition:
         tokens.append(self.fragments[-1].kind)
         return tokens
 
-    def scores(self) -> list[tuple[float, float]]:
-        """Endpoint score pairs, one per fragment (decode companion)."""
-        return [(f.s_lo, f.s_hi) for f in self.fragments]
-
     def to_json(self) -> dict:
         return {
             "v_min": self.v_min,
@@ -215,36 +211,6 @@ class Proposition:
     @classmethod
     def loads(cls, text: str) -> "Proposition":
         return cls.from_json(json.loads(text))
-
-
-def decode(
-    tokens: list,
-    scores: list[tuple[float, float]],
-    v_min: float,
-    v_max: float,
-) -> Proposition:
-    """Rebuild a proposition from its token encoding plus endpoint scores.
-
-    Inverse of ``Proposition.encode`` / ``Proposition.scores``.
-    """
-    if len(tokens) % 2 != 1:
-        raise PropositionError("token sequence must have odd length")
-    kinds = tokens[0::2]
-    boundaries = tokens[1::2]
-    if any(k not in KINDS for k in kinds):
-        raise PropositionError("even positions must hold fragment kinds")
-    if len(scores) != len(kinds):
-        raise PropositionError("one score pair required per fragment")
-    edges = [v_min] + list(boundaries) + [v_max]
-    for lo, hi in zip(edges, edges[1:]):
-        if not lo < hi:
-            raise PropositionError("boundary values must be strictly increasing")
-    frags = []
-    for kind, lo, hi, (s_lo, s_hi) in zip(kinds, edges, edges[1:], scores):
-        if kind == "E" and s_lo != s_hi:
-            raise PropositionError("E fragment requires equal endpoint scores")
-        frags.append(Fragment(kind, lo, hi, s_lo, s_hi))
-    return Proposition(tuple(frags))
 
 
 def validate(prop: Proposition) -> list[str]:

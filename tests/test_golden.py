@@ -13,14 +13,28 @@ followed by the run's best configuration, for seeds 0-2 with
 The requirement digest pins the ``repr`` of the fragments of every
 ``generate_target`` output for the three requirement types at each level of
 ``DEFAULT_D_LEVELS`` on one rugged 2^12 space.
+
+The edge-shift digest pins ``relax_case0`` and ``tighten_case1`` on 1,000
+seeded random valid propositions of 1-6 fragments, one call of each per
+proposition, and was recorded before the two cases shared one routine. Each
+entry holds the outcome's fragments, scores and ``by_entropy`` (or the
+error text) and the next 64 bits the call's ``rng`` draws, which pin how many
+draws the call took. The performance values of a call come from a band at
+the end of the range its case moves away from: a narrow band scores flat, a
+wide one spread, so the entries cover adoption on entropy, pinning at the
+bound (with and without absorbed fragments) and the error paths.
 """
 
+import functools
 import hashlib
 import random
 
 import pytest
 
+from cotune.entropy import differential_entropy
 from cotune.landscape import synth
+from cotune.reqevolve import RequirementEvolutionError, relax_case0, tighten_case1
+from cotune.requirement import Fragment, Proposition
 from cotune.reqgen import DEFAULT_D_LEVELS, TYPE_PATTERNS, GenSpec, generate_target
 from cotune.tuners import TunerParams, cotune_run, ga_run, random_run
 
@@ -87,6 +101,9 @@ GOLDEN_RUNS = {
 GOLDEN_REQUIREMENTS = (
     "7df5504a33c67567392993ec16df26e36a7545d58e0f34ced29257a7d0c75a94")
 
+GOLDEN_EDGE_SHIFTS = (
+    "a41c428a2d03a76164f2ec7a0a5561fd3751974ad9c871c9f1bd43c19a78e64b")
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -143,3 +160,50 @@ def test_generated_requirements_match_golden():
         for d in DEFAULT_D_LEVELS
     ]
     assert sha256("\n".join(lines)) == GOLDEN_REQUIREMENTS
+
+
+def random_proposition(rng):
+    """A valid proposition of 1-6 G, S or E fragments with non-increasing
+    scores, over a range across 0 or one of positive values. Some G and S
+    fragments are flat, so a shift may clip one and rescore it. Kept apart
+    from other tests' generators, so that the digest's inputs stay fixed."""
+    n = rng.randint(1, 6)
+    lo = rng.choice((-20.0, 0.5))
+    edges = sorted(rng.uniform(lo, lo + 40.0) for _ in range(n + 1))
+    while any(b - a < 1e-6 for a, b in zip(edges, edges[1:])):
+        edges = sorted(rng.uniform(lo, lo + 40.0) for _ in range(n + 1))
+    scores = sorted((rng.random() for _ in range(n + 1)), reverse=True)
+    frags = []
+    for i in range(n):
+        kind = rng.choice("GSES")
+        if kind == "E" or rng.random() < 0.25:
+            scores[i + 1] = scores[i]
+        frags.append(Fragment(kind, edges[i], edges[i + 1], scores[i],
+                              scores[i + 1]))
+    return Proposition(tuple(frags))
+
+
+def test_edge_shifts_match_golden():
+    # memoized as cotune_run memoizes it; the outcomes are those of
+    # differential_entropy itself
+    entropy = functools.cache(differential_entropy)
+    draw = random.Random(2024)
+    lines = []
+    for _ in range(1000):
+        prop = random_proposition(draw)
+        lo, hi = prop.v_min, prop.v_max
+        seed = draw.randrange(2**32)
+        for evolve in (relax_case0, tighten_case1):
+            reach = draw.random() * (hi - lo)
+            band = ((hi - reach, hi + 1.0) if evolve is relax_case0
+                    else (lo - 1.0, lo + reach))
+            perfs = [draw.uniform(*band) for _ in range(draw.randint(2, 8))]
+            rng = random.Random(seed)
+            try:
+                out = evolve(prop, perfs, rng, entropy=entropy)
+                text = (f"{out.proposition.fragments!r} {out.scores!r} "
+                        f"{out.by_entropy}")
+            except RequirementEvolutionError as exc:
+                text = f"error: {exc}"
+            lines.append(f"{text} {rng.getrandbits(64)}")
+    assert sha256("\n".join(lines)) == GOLDEN_EDGE_SHIFTS

@@ -526,6 +526,12 @@ MALFORMED = {
         "must be one path component"),
     "tuner named ..": (with_tuners({"name": "..", "kind": "random"}),
                        "must be one path component"),
+    "csv path as a number": (with_setting(landscapes=[{"csv": 5}]),
+                             "landscape 'csv' must be a path, not 5"),
+    "file path as a list": (with_setting(requirements=[{"file": ["a"]}]),
+                            r"requirement 'file' must be a path, not \['a'\]"),
+    "out_dir as a number": (with_setting(out_dir=5),
+                            "out_dir must be a path, not 5"),
 }
 
 
@@ -656,7 +662,9 @@ class TestRequirementEntries:
     @pytest.mark.parametrize("case", [
         "file that is not JSON", "file without fragments",
         "neither file nor gen", "gen that GenSpec rejects",
-        "gen with an unknown key"])
+        "gen with an unknown key", "gen with a null seed",
+        "gen with a seed of text", "gen with a fractional seed",
+        "gen with types true", "gen with a d level true"])
     def test_bad_requirement_entry_exits_1(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
         entry, match = {
@@ -669,6 +677,20 @@ class TestRequirementEntries:
             "gen with an unknown key": (
                 {"gen": {"d_level": [0.5], "type": 1}},
                 "unexpected keyword argument 'd_level'"),
+            # a null seed would seed the generator from the OS
+            "gen with a null seed": (
+                {"gen": {"d_levels": [0.5], "types": 1, "seed": None}},
+                "seed must be an integer, not None"),
+            "gen with a seed of text": (
+                {"gen": {"d_levels": [0.5], "types": 1, "seed": "x"}},
+                "seed must be an integer, not 'x'"),
+            "gen with a fractional seed": (
+                {"gen": {"d_levels": [0.5], "types": 1, "seed": 1.5}},
+                "seed must be an integer, not 1.5"),
+            "gen with types true": ({"gen": {"d_levels": [0.5], "types": True}},
+                                    "types must be an integer, not True"),
+            "gen with a d level true": ({"gen": {"d_levels": [True]}},
+                                        "d levels must be numbers, not True"),
         }[case]
         bad.write_text("{" if case == "file that is not JSON" else "{}")
         config = config_obj(tmp_path, requirements=[entry])

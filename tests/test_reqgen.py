@@ -40,6 +40,21 @@ class TestGenSpec:
             with pytest.raises(ValueError, match="first 6 significant"):
                 GenSpec(d_levels=alike)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": None}, {"seed": "x"}, {"seed": 1.5}, {"seed": True},
+        {"types": True}, {"types": 1.0},
+        {"d_levels": (True,)}, {"d_levels": ("0.5",)},
+    ], ids=repr)
+    def test_field_of_the_wrong_type(self, kwargs):
+        (key,) = kwargs
+        match = ("d levels must be numbers" if key == "d_levels"
+                 else f"{key} must be an integer")
+        with pytest.raises(TypeError, match=match):
+            GenSpec(**kwargs)
+
+    def test_a_level_may_be_an_int(self):
+        assert GenSpec(d_levels=(1,), types=1).labels() == ["t1_d1"]
+
     def test_tolerance_floor(self):
         spec = GenSpec()
         assert spec.tolerance(0.5, 64) == pytest.approx(0.05)

@@ -14,7 +14,6 @@ from cotune.requirement import (
     Fragment,
     Proposition,
     PropositionError,
-    decode,
     validate,
 )
 
@@ -217,31 +216,6 @@ class TestIntegral:
 class TestEncodeDecode:
     def test_known_encoding(self):
         assert EXAMPLE.encode() == ["E", 2.0, "S", 3.5, "E", 5.0, "S"]
-
-    def test_round_trip_example(self):
-        rebuilt = decode(EXAMPLE.encode(), EXAMPLE.scores(),
-                         EXAMPLE.v_min, EXAMPLE.v_max)
-        assert rebuilt == EXAMPLE
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_round_trip_random(self, seed):
-        prop = random_valid_proposition(random.Random(seed))
-        rebuilt = decode(prop.encode(), prop.scores(), prop.v_min, prop.v_max)
-        assert rebuilt == prop
-
-    def test_decode_rejects_disordered_boundaries(self):
-        with pytest.raises(PropositionError):
-            decode(["E", 5.0, "S", 2.0, "E"],
-                   [(1.0, 1.0), (1.0, 0.5), (0.5, 0.5)], 0.0, 8.0)
-
-    def test_decode_rejects_unequal_e_scores(self):
-        with pytest.raises(PropositionError):
-            decode(["E"], [(1.0, 0.5)], 0.0, 1.0)
-
-    def test_decode_rejects_even_token_count(self):
-        with pytest.raises(PropositionError):
-            decode(["E", 2.0], [(1.0, 1.0)], 0.0, 4.0)
 
 
 class TestJson:
