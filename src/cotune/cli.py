@@ -104,11 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-reqs", help="generate a requirement suite")
+    defaults = reqgen.GenSpec()
     p_gen.add_argument("--landscape", required=True, help="landscape CSV")
-    p_gen.add_argument("--d", default="0.001,0.01,0.05,0.2,0.5,0.9",
+    p_gen.add_argument("--d", default=",".join(map(str, defaults.d_levels)),
                        help="comma-separated satisfiability levels")
-    p_gen.add_argument("--types", type=int, default=3)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--types", type=int, default=defaults.types)
+    p_gen.add_argument("--seed", type=int, default=defaults.seed)
     p_gen.add_argument("--out", default=None, help="output directory")
     p_gen.set_defaults(func=_cmd_gen_reqs)
 

@@ -18,7 +18,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +26,6 @@ import numpy as np
 from . import landscape as landscape_mod
 from . import reqgen, tuners
 from .requirement import Proposition
-
-TRAJECTORY_COLUMNS = (
-    "iteration", "budget_used", "best_pt_score",
-    "guiding_proposition", "case_fired", "theta", "entropy_pa",
-)
 
 # the effect size and significance level a Scott-Knott ESD split must reach
 EFFECT_THRESHOLD = 0.2
@@ -44,15 +39,23 @@ class HarnessError(ValueError):
     pass
 
 
-def _check_name(kind: str, name) -> None:
-    """Raise HarnessError unless name is one path component: results are
-    filed under ``<out>/<landscape>/<req>/<tuner>``, and any other name
-    would write outside its cell or out_dir."""
-    if (not isinstance(name, str) or name in ("", ".", "..")
-            or "/" in name or "\\" in name):
-        raise HarnessError(f"{kind} name {name!r} must be one path "
-                           "component: not empty, '.' or '..', and without "
-                           "'/' or '\\'")
+def _check_names(kind: str, names: list) -> None:
+    """Raise HarnessError unless each name is one path component and no two
+    are equal: results are filed under ``<out>/<landscape>/<req>/<tuner>``,
+    and any other name would write outside its cell or out_dir, or share
+    trajectory files and summary cells with another."""
+    for name in names:
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or "/" in name or "\\" in name):
+            raise HarnessError(f"{kind} name {name!r} must be one path "
+                               "component: not empty, '.' or '..', and "
+                               "without '/' or '\\'")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        how = ("labelled {!r}; give each file entry a distinct 'name' and gen "
+               "entries distinct d levels or types" if kind == "requirement"
+               else "named {!r}; give each a distinct 'name'")
+        raise HarnessError(f"two {kind}s are " + how.format(repeated[0]))
 
 
 def _tuner_params(spec, early_stop: bool):
@@ -71,7 +74,7 @@ class TunerSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_name("tuner", self.name)
+        _check_names("tuner", [self.name])
         kind_of = {label: k for k, (label, *_) in tuners.TUNER_KINDS.items()}
         self.kind = self.kind or kind_of.get(self.name, "")
         if self.kind not in tuners.TUNER_KINDS:
@@ -108,13 +111,7 @@ class ExperimentConfig:
             t if isinstance(t, TunerSpec) else TunerSpec(**t)
             for t in self.tuners
         ]
-        # results are filed by tuner name: two tuners of one name would
-        # share trajectory files and summary cells
-        names = [t.name for t in self.tuners]
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise HarnessError(f"two tuners are named {repeated[0]!r}; give "
-                               "each a distinct 'name'")
+        _check_names("tuner", [t.name for t in self.tuners])
         for spec in self.tuners:
             _tuner_params(spec, self.early_stop)
 
@@ -212,16 +209,8 @@ def _load_requirements(entries) -> list:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise HarnessError(f"requirement {entry}: {detail}") from None
-    # results are filed by requirement label: two requirements of one label
-    # would share trajectory files and summary cells
-    labels = [label for item_labels, _ in out for label in item_labels]
-    for label in labels:
-        _check_name("requirement", label)
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise HarnessError(
-            f"two requirements are labelled {repeated[0]!r}; give each file "
-            "entry a distinct 'name' and gen entries distinct d levels or types")
+    _check_names("requirement",
+                 [label for labels, _ in out for label in labels])
     return out
 
 
@@ -247,54 +236,44 @@ def _write_trajectory(path: Path, result) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in result.trajectory:
-            writer.writerow([
-                row.iteration, row.budget_used, repr(row.best_pt_score),
-                row.guiding_proposition, row.case_fired,
-                repr(row.theta), repr(row.entropy_pa),
-            ])
+        writer.writerow(f.name for f in fields(tuners.TrajectoryRow))
+        # csv writes str(x), which is repr(x) for an int or a float
+        writer.writerows(vars(row).values() for row in result.trajectory)
 
 
 def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
     be written, is logged as a failure, never fatal, and so is a landscape
     on which a generation spec cannot be calibrated. A landscape entry that
-    ``_check_landscape_entry`` rejects, a landscape that cannot be built or
-    whose name is not one path component, a requirement entry that
-    ``_load_requirements`` rejects, a tuner's params that ``TunerParams``
-    rejects, or two landscapes or two requirements of one name, raise
-    HarnessError before any run starts.
+    ``_check_landscape_entry`` rejects, a landscape that cannot be built, a
+    requirement entry that ``_load_requirements`` rejects, a tuner's params
+    that ``TunerParams`` rejects, or a landscape or tuner name that breaks
+    ``_check_names``' rule (checked again here, so that a config changed
+    after it was built is held to it), raise HarnessError before any run
+    starts.
 
     Returns a dict with the output directory, the failure log and the
     best-rank roll-up. Deterministic for a fixed seed base.
     """
+    _check_names("tuner", [spec.name for spec in config.tuners])
     for entry in config.landscapes:
         _check_landscape_entry(entry)
     # each tuner's TunerParams, in config.tuners order
     run_params = [_tuner_params(spec, config.early_stop)
                   for spec in config.tuners]
-    lands, names = [], set()
+    lands = []
     for entry in config.landscapes:
         try:
-            land = _resolve_landscape(entry)
+            lands.append(_resolve_landscape(entry))
         # a CSV that cannot be read or parsed, or a synth value that synth
         # rejects (TypeError: a value of the wrong type)
         except (OSError, ValueError, TypeError) as exc:
             raise HarnessError(f"landscape {entry}: {exc}") from None
-        _check_name("landscape", land.name)
-        # results are filed by landscape name: two landscapes of one name
-        # would share trajectory files and summary cells
-        if land.name in names:
-            raise HarnessError(f"two landscapes are named {land.name!r}; "
-                               "give each a distinct 'name'")
-        names.add(land.name)
-        lands.append(land)
+    _check_names("landscape", [land.name for land in lands])
     loaded = _load_requirements(config.requirements)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = []
-    records = []  # each run whose trajectory was written, with its best
 
     work = []
     for land in lands:
@@ -309,6 +288,8 @@ def run_experiment(config: ExperimentConfig):
                     work.append((land, req_name, prop, spec, params, k))
 
     def execute(item):
+        """Run one tuner and write its trajectory; the run's record, with
+        its final ``best``, or its ``error`` if either step failed."""
         land, req_name, prop, spec, params, k = item
         run = {"landscape": land.name, "requirement": req_name,
                "tuner": spec.name, "seed": k}
@@ -316,25 +297,21 @@ def run_experiment(config: ExperimentConfig):
             result = tuners.run_tuner(spec.kind, land, prop, params,
                                       config.seed_base + k, label=spec.name)
         except Exception as exc:  # noqa: BLE001
-            return run, None, str(exc)
-        return run, result, None
+            return {**run, "error": str(exc)}
+        try:
+            _write_trajectory(_trajectory_path(out, run), result)
+        except OSError as exc:
+            return {**run, "error": f"trajectory not written: {exc}"}
+        return {**run, "best": result.best_score}
 
+    # pool.map keeps the work order, so the records keep it too
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(execute, work))
     else:
         outcomes = [execute(item) for item in work]
-
-    for run, result, error in outcomes:
-        if error is None:
-            try:
-                _write_trajectory(_trajectory_path(out, run), result)
-            except OSError as exc:
-                error = f"trajectory not written: {exc}"
-        if error is not None:
-            failures.append({**run, "error": error})
-        else:
-            records.append({**run, "best": result.best_score})
+    failures += [run for run in outcomes if "error" in run]
+    records = [run for run in outcomes if "error" not in run]
 
     best_rank_counts = {spec.name: 0 for spec in config.tuners}
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
@@ -351,23 +328,17 @@ def run_experiment(config: ExperimentConfig):
                 mean, std, rank = cell[spec.name]
                 if rank == 1:
                     best_rank_counts[spec.name] += 1
-                writer.writerow([
-                    land_name, req_name, spec.name, repr(mean), repr(std),
-                    "" if rank is None else rank, len(samples[spec.name]), "",
-                ])
+                writer.writerow([land_name, req_name, spec.name, mean, std,
+                                 "" if rank is None else rank,
+                                 len(samples[spec.name]), ""])
 
+    # the config's fields, less where the sweep was written and how many
+    # workers ran it: neither changes a result
+    settings = {key: value for key, value in vars(config).items()
+                if key not in ("out_dir", "jobs")}
     manifest = {
-        "config": {
-            "landscapes": config.landscapes,
-            "requirements": config.requirements,
-            "tuners": [
-                {"name": t.name, "kind": t.kind, "params": t.params}
-                for t in config.tuners
-            ],
-            "repeats": config.repeats,
-            "seed_base": config.seed_base,
-            "early_stop": config.early_stop,
-        },
+        "config": {**settings,
+                   "tuners": [vars(spec) for spec in config.tuners]},
         "runs": records,
         "failures": failures,
         "best_rank_counts": best_rank_counts,
@@ -497,22 +468,20 @@ def scott_knott_esd(samples: dict, test: str = "welch") -> list:
         return [sorted(samples)]
     if any(len(s) < 2 for s in samples.values()):
         raise HarnessError("every tuner needs at least 2 scores for ranking")
-    names = sorted(samples, key=lambda t: (-statistics.fmean(samples[t]), t))
+    mean = {t: statistics.fmean(s) for t, s in samples.items()}
+    names = sorted(samples, key=lambda t: (-mean[t], t))
 
     def partition(group):
         if len(group) < 2:
             return [group]
-        means = [statistics.fmean(samples[t]) for t in group]
-        sizes = [len(samples[t]) for t in group]
-        grand = sum(m * n for m, n in zip(means, sizes)) / sum(sizes)
+        grand = (sum(mean[t] * len(samples[t]) for t in group)
+                 / sum(len(samples[t]) for t in group))
         best_cut, best_ssb = None, -1.0
         for cut in range(1, len(group)):
             ssb = 0.0
             for side in (group[:cut], group[cut:]):
                 n = sum(len(samples[t]) for t in side)
-                m = sum(
-                    statistics.fmean(samples[t]) * len(samples[t])
-                    for t in side) / n
+                m = sum(mean[t] * len(samples[t]) for t in side) / n
                 ssb += n * (m - grand) ** 2
             if ssb > best_ssb:
                 best_cut, best_ssb = cut, ssb
@@ -634,6 +603,5 @@ def emit_trajectory_plots_data(result_dir):
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tuner", "budget", "mean_best", "ci_low", "ci_high"])
-        for row in rows:
-            writer.writerow([row[0], row[1]] + [repr(v) for v in row[2:]])
+        writer.writerows(rows)
     return rows, missing

@@ -300,13 +300,15 @@ def write_csv(landscape: Landscape, path) -> None:
 
 SHAPES = ("rugged", "additive", "plateau")
 
+# the most configurations synth enumerates
+ENUMERATION_CAP = 1_000_000
+
 
 def synth(
     seed: int,
     n_options: int,
     domain_sizes,
     shape: str,
-    enumeration_cap: int = 1_000_000,
     name=None,
 ) -> Landscape:
     """Deterministic synthetic landscape over a fully enumerated space.
@@ -334,10 +336,9 @@ def synth(
     if len(domain_sizes) != n_options:
         raise LandscapeError("one domain size required per option")
     size = math.prod(domain_sizes)
-    if size > enumeration_cap:
-        raise LandscapeError(
-            f"space of {size} configurations exceeds enumeration cap {enumeration_cap}"
-        )
+    if size > ENUMERATION_CAP:
+        raise LandscapeError(f"space of {size} configurations exceeds "
+                             f"enumeration cap {ENUMERATION_CAP}")
 
     rng = random.Random(seed)
     options = [

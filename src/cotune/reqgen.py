@@ -123,6 +123,13 @@ def generate_target(landscape: Landscape, d: float, spec: GenSpec,
     per call; the zero-score onset is then bisected so the achieved
     satisfiable fraction lands within spec's tolerance of d.
     """
+    return _calibrate(landscape, d, spec, rng, type_index)[0]
+
+
+def _calibrate(landscape: Landscape, d: float, spec: GenSpec,
+               rng: random.Random, type_index: int) -> tuple:
+    """generate_target's proposition and its achieved satisfiable fraction,
+    which calibration has computed already."""
     if not 0.0 < d <= 1.0:
         raise ValueError("d must lie in (0, 1]")
     v_min, v_max = landscape.v_min, landscape.v_max
@@ -155,8 +162,9 @@ def generate_target(landscape: Landscape, d: float, spec: GenSpec,
     if abs(1.0 - d) <= tolerance:
         prop = _build(pattern, v_min, v_max, v_max - 1e-9 * span, ratios,
                       scores, tail_score=0.05 * scores[3] + 0.01)
-        _check(prop, satisfiability_fraction(landscape, prop), d, tolerance)
-        return prop
+        achieved = satisfiability_fraction(landscape, prop)
+        _check(prop, achieved, d, tolerance)
+        return prop, achieved
 
     lo, hi = v_min, v_max
     best_prop, best_frac, best_err = None, None, float("inf")
@@ -179,7 +187,7 @@ def generate_target(landscape: Landscape, d: float, spec: GenSpec,
             f"{landscape.name}: cannot realize d={d} within ±{tolerance:.4g} "
             f"(best error {best_err:.4g})")
     _check(best_prop, best_frac, d, tolerance)
-    return best_prop
+    return best_prop, best_frac
 
 
 def _check(prop, achieved, d, tolerance):
@@ -213,9 +221,8 @@ def generate_suite(landscape: Landscape, spec: GenSpec,
     entries = []
     for type_index in range(spec.types):
         for d in spec.d_levels:
-            prop = generate_target(landscape, d, spec, rng, type_index)
-            entries.append(SuiteEntry(
-                type_index, d, satisfiability_fraction(landscape, prop), prop))
+            prop, achieved = _calibrate(landscape, d, spec, rng, type_index)
+            entries.append(SuiteEntry(type_index, d, achieved, prop))
 
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -10,6 +10,7 @@ sampling sanity baseline. ``run_tuner`` runs one of the ``TUNER_KINDS``.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -169,14 +170,9 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     order = len(sample)
 
     # a firing case's event, its requirement evolution and the trajectory
-    # rows score many of the same samples; each is scored once per run,
-    # through this module's differential_entropy
-    entropies = {}  # score sample (a tuple) -> its entropy
-
-    def entropy(sample):
-        if sample not in entropies:
-            entropies[sample] = differential_entropy(sample)
-        return entropies[sample]
+    # rows score many of the same samples (tuples); each is scored once per
+    # run, through this module's differential_entropy as it is at run start
+    entropy = functools.cache(differential_entropy)
 
     def entropy_pa():
         return entropy(tuple(m.fitness for m in pop_a))

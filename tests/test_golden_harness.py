@@ -11,7 +11,10 @@ updates them and says why.
 The sweep covers two landscapes, two generated requirements, the four
 tuners and one more whose budget is below its initialization cost, so every
 run of it fails and its summary rows are marked ``x``. ``rank_results``'
-rows are pinned through their ``repr``.
+rows are pinned through their ``repr``. ``manifest.json`` and the
+``seed<k>.csv`` files were recorded later, from the program before the
+harness made each of its decisions in one place; every trajectory file is
+hashed with its path under the output directory, in sorted path order.
 """
 
 import hashlib
@@ -34,6 +37,10 @@ GOLDEN = {
         "9260559756fda3d24ecd2b36650698d6b3cf93d1d78948720a04c51fe9e1f0f3",
     "rank kruskal":
         "8c666a8de8a3df3f40c64347df1866319a4202f310fc3b2508127b3b00f9e4eb",
+    "manifest.json":
+        "377dff11008252a6663d3ea3d0656574eb80297e5c4e92cff9bbb1b398ccc37c",
+    "seed csvs":
+        "18a814f4b83584be5c51a5ec5b923354af05ff5d6f70d052c1ca2c2630a5d7dd",
 }
 
 
@@ -58,6 +65,16 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def trajectories_sha256(out) -> str:
+    """One digest over every seed<k>.csv under out: each file's path
+    relative to out, a NUL byte and its bytes, in sorted path order."""
+    files = sorted((path.relative_to(out).as_posix(), path)
+                   for path in out.rglob("seed*.csv"))
+    assert len(files) == 80  # 2 landscapes x 2 requirements x 4 tuners x 5
+    return sha256(b"".join(rel.encode() + b"\0" + path.read_bytes()
+                           for rel, path in files))
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden") / "out"
@@ -67,6 +84,8 @@ def digests(tmp_path_factory):
     return {
         "summary.csv": sha256((out / "summary.csv").read_bytes()),
         "trajectories.csv": sha256((out / "trajectories.csv").read_bytes()),
+        "manifest.json": sha256((out / "manifest.json").read_bytes()),
+        "seed csvs": trajectories_sha256(out),
         **{f"rank {test}": sha256(repr(rank_results(out, test)).encode())
            for test in ("welch", "kruskal")},
     }

@@ -18,6 +18,7 @@ import pytest
 
 import cotune
 from cotune import tuners
+from cotune.cli import build_parser
 from cotune.cli import main as cli_main
 from cotune.harness import (
     ALPHA,
@@ -321,6 +322,24 @@ class TestRunExperiment:
             a = (tmp_path / "out" / name).read_bytes()
             b = (tmp_path / "parallel" / name).read_bytes()
             assert a == b, name
+
+    @pytest.mark.parametrize("change", ["a second tuner of one name",
+                                        "a tuner renamed to .."])
+    def test_config_changed_after_it_was_built_cannot_share_files(
+            self, tmp_path, change):
+        # results are filed by tuner name, and run_experiment applies the
+        # name rule again, so a config changed after it was built is held
+        # to it too
+        config = small_config(tmp_path)
+        if change == "a second tuner of one name":
+            config.tuners.append(TunerSpec("CoTune", kind="random"))
+            match = "two tuners are named 'CoTune'"
+        else:
+            config.tuners[1].name = ".."
+            match = "tuner name '..' must be one path component"
+        with pytest.raises(HarnessError, match=match):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_records_each_runs_final_best(self, tmp_path):
         run_experiment(small_config(tmp_path))
@@ -911,6 +930,13 @@ class TestCli:
         assert "2 run(s) failed" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert len(manifest["failures"]) == 2
+
+    def test_gen_reqs_defaults_are_gen_specs(self):
+        args = build_parser().parse_args(["gen-reqs", "--landscape", "x.csv"])
+        spec = GenSpec()
+        assert args.d == "0.001,0.01,0.05,0.2,0.5,0.9"
+        assert tuple(float(x) for x in args.d.split(",")) == spec.d_levels
+        assert (args.types, args.seed) == (spec.types, spec.seed)
 
     def test_gen_reqs_on_a_missing_csv(self, tmp_path, capsys):
         assert cli_main(["gen-reqs", "--landscape",

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cotune import landscape as landscape_mod
 from cotune.landscape import (
     SHAPES,
     BudgetExhausted,
@@ -219,6 +220,13 @@ class TestSynth:
     def test_enumeration_cap(self):
         with pytest.raises(LandscapeError, match="cap"):
             synth(seed=1, n_options=30, domain_sizes=2, shape="additive")
+
+    def test_enumeration_cap_is_the_module_constant(self, monkeypatch):
+        monkeypatch.setattr(landscape_mod, "ENUMERATION_CAP", 8)
+        assert synth(seed=1, n_options=3, domain_sizes=2,
+                     shape="additive").space_size == 8
+        with pytest.raises(LandscapeError, match="enumeration cap 8"):
+            synth(seed=1, n_options=4, domain_sizes=2, shape="additive")
 
     def test_unknown_shape(self):
         with pytest.raises(LandscapeError):

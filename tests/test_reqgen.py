@@ -187,3 +187,28 @@ class TestGenerateSuite:
         a = generate_suite(land, spec)
         b = generate_suite(land, spec)
         assert [e.proposition for e in a] == [e.proposition for e in b]
+
+    def test_suite_reuses_each_calibrated_fraction(self, monkeypatch):
+        # calibration has just scored the chosen proposition, so the suite
+        # makes no satisfiability pass beyond generate_target's, and each
+        # d_achieved is that proposition's fraction
+        land = synth(seed=7, n_options=12, domain_sizes=2, shape="rugged")
+        spec = GenSpec(d_levels=(0.01, 0.5, 1.0), types=2, seed=4)
+        passes = []
+
+        def spy(landscape, prop):
+            passes.append(prop)
+            return satisfiability_fraction(landscape, prop)
+
+        monkeypatch.setattr(reqgen, "satisfiability_fraction", spy)
+        entries = generate_suite(land, spec)
+        suite_passes = len(passes)
+        passes.clear()
+        rng = random.Random(spec.seed)
+        for type_index in range(spec.types):
+            for d in spec.d_levels:
+                generate_target(land, d, spec, rng, type_index)
+        assert suite_passes == len(passes)
+        for entry in entries:
+            assert entry.d_achieved == satisfiability_fraction(
+                land, entry.proposition)
