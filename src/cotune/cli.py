@@ -44,7 +44,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_reqs(args) -> int:
     try:
-        land = landscape_mod.load_csv(args.landscape)
+        # named by its file stem, as run_experiment names an unnamed CSV
+        # landscape, so the requirement files do not depend on the path
+        land = landscape_mod.load_csv(args.landscape,
+                                      name=Path(args.landscape).stem)
         spec = reqgen.GenSpec(
             d_levels=tuple(float(x) for x in args.d.split(",")),
             types=args.types,

@@ -21,12 +21,25 @@ class Member:
     order: int
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """rng.randrange(n), or rng.choice's index into n items, for n >= 1,
+    drawn as CPython's Random draws it: n.bit_length() bits, redrawn while
+    they reach n. Takes the rng's bound getrandbits, which is cheaper than
+    either method's argument handling."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def tournament_select(members, rng: random.Random) -> Member:
     """Binary tournament with replacement; ties resolved by a fair coin."""
     if not members:
         raise ValueError("empty population")
-    a = members[rng.randrange(len(members))]
-    b = members[rng.randrange(len(members))]
+    getrandbits, n = rng.getrandbits, len(members)
+    a = members[_randbelow(getrandbits, n)]
+    b = members[_randbelow(getrandbits, n)]
     if a.fitness > b.fitness:
         return a
     if b.fitness > a.fitness:
@@ -41,8 +54,9 @@ def uniform_crossover(a, b, rate: float, rng: random.Random):
     if rng.random() >= rate:
         return tuple(a), tuple(b)
     c1, c2 = [], []
+    rand = rng.random
     for ga, gb in zip(a, b):
-        if rng.random() < 0.5:
+        if rand() < 0.5:
             c1.append(ga)
             c2.append(gb)
         else:
@@ -54,12 +68,13 @@ def uniform_crossover(a, b, rate: float, rng: random.Random):
 def mutate(config, rate: float, rng: random.Random, options) -> tuple:
     """Reset each gene, with probability rate, to a different domain value."""
     genes = list(config)
+    rand, getrandbits = rng.random, rng.getrandbits
     for i, opt in enumerate(options):
         size = len(opt.domain)
         if size < 2:
             continue
-        if rng.random() < rate:
-            pick = rng.randrange(size - 1)
+        if rand() < rate:
+            pick = _randbelow(getrandbits, size - 1)
             if pick >= genes[i]:
                 pick += 1
             genes[i] = pick

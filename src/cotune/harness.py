@@ -569,8 +569,13 @@ def emit_trajectory_plots_data(result_dir):
         points = []
         if path.exists():
             with open(path, newline="", encoding="utf-8") as fh:
-                points = [(int(row["budget_used"]), float(row["best_pt_score"]))
-                          for row in csv.DictReader(fh)]
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is not None:
+                    used = header.index("budget_used")
+                    best = header.index("best_pt_score")
+                    points = [(int(row[used]), float(row[best]))
+                              for row in reader if row]
         if points:
             curves.setdefault(run["tuner"], []).append(tuple(zip(*points)))
         else:
@@ -593,10 +598,10 @@ def emit_trajectory_plots_data(result_dir):
             if not values:
                 continue
             mean = statistics.fmean(values)
-            if len(values) > 1:
-                half = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+            if min(values) == max(values):
+                half = 0.0  # the stdev of equal values is exactly 0.0
             else:
-                half = 0.0
+                half = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
             rows.append([tuner, budget, mean, mean - half, mean + half])
 
     with open(result_dir / "trajectories.csv", "w", newline="",

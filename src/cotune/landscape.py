@@ -18,6 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .ga import _randbelow
 from .requirement import Proposition
 
 
@@ -151,7 +152,9 @@ class Landscape:
                                          self.performance_array.tolist())))
 
     def random_config(self, rng: random.Random) -> Configuration:
-        return tuple(rng.randrange(size) for size in self.sizes)
+        """One rng.randrange(size) per option, in option order."""
+        getrandbits = rng.getrandbits
+        return tuple([_randbelow(getrandbits, size) for size in self.sizes])
 
 
 def _code_dtype(space_size):
@@ -218,10 +221,27 @@ def _column(cells):
     as one, else the stripped text of every cell (a column that mixes
     numbers and words reads "1" as "1", not 1.0)."""
     try:
-        values = [float(c) for c in cells]
+        values = list(map(float, cells))
     except ValueError:
         values = [c.strip() for c in cells]
     return tuple(sorted(set(values))), values
+
+
+def _row_problem(path, records, width):
+    """The first malformed data row of a CSV's records (the header's
+    successors, blank ones included), as load_csv reports it, or None."""
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            return f"{path}: row {lineno} has wrong arity"
+        try:
+            perf = float(row[-1])
+        except ValueError:
+            return f"{path}: row {lineno}: unparsable performance {row[-1]!r}"
+        if not math.isfinite(perf):
+            return f"{path}: row {lineno}: non-finite performance {row[-1]!r}"
+    return None
 
 
 def load_csv(path, name=None) -> Landscape:
@@ -239,32 +259,28 @@ def load_csv(path, name=None) -> Landscape:
             raise LandscapeError(f"{path}: empty file") from None
         if len(header) < 2:
             raise LandscapeError(f"{path}: need at least one option column")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise LandscapeError(f"{path}: row {lineno} has wrong arity")
-            try:
-                perf = float(row[-1])
-            except ValueError:
-                raise LandscapeError(
-                    f"{path}: row {lineno}: unparsable performance {row[-1]!r}"
-                ) from None
-            if not math.isfinite(perf):
-                raise LandscapeError(
-                    f"{path}: row {lineno}: non-finite performance {row[-1]!r}"
-                )
-            rows.append((lineno, row[:-1], perf))
+        records = list(reader)
+    rows = list(filter(None, records))  # blank lines read as empty rows
     if not rows:
         raise LandscapeError(f"{path}: no data rows")
+    # the rows are checked as a whole; a failed check looks for the first
+    # malformed row in file order, so that its message names that row
+    perfs = None
+    if set(map(len, rows)) == {len(header)}:
+        *option_cells, perf_cells = zip(*rows)  # one tuple per column
+        try:
+            perfs = np.array(list(map(float, perf_cells)))
+        except ValueError:
+            pass
+    if perfs is None or not np.isfinite(perfs).all():
+        raise LandscapeError(_row_problem(path, records, len(header)))
 
     options, columns = [], []  # columns[i][r]: row r's index into option i
-    for col in range(len(header) - 1):
-        domain, values = _column([cells[col] for _, cells, _ in rows])
-        options.append(OptionSpec(header[col], domain))
+    for title, cells in zip(header, option_cells):
+        domain, values = _column(cells)
+        options.append(OptionSpec(title, domain))
         index = {v: i for i, v in enumerate(domain)}
-        columns.append([index[v] for v in values])
+        columns.append(list(map(index.__getitem__, values)))
     dtype = _code_dtype(math.prod(len(opt.domain) for opt in options))
     codes = 0  # codes[r]: the code of row r's configuration
     for column, opt in zip(columns, options):
@@ -276,9 +292,10 @@ def load_csv(path, name=None) -> Landscape:
     codes = codes[order]
     repeats = np.flatnonzero(codes[1:] == codes[:-1])
     if repeats.size:
-        lineno = rows[int(order[repeats + 1].min())][0]
+        linenos = [n for n, row in enumerate(records, start=2) if row]
+        lineno = linenos[int(order[repeats + 1].min())]
         raise LandscapeError(f"{path}: row {lineno}: duplicate configuration")
-    perfs = np.array([perf for _, _, perf in rows])[order]
+    perfs = perfs[order]
     return Landscape(options, perfs, codes=codes, name=name or str(path))
 
 

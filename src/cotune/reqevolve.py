@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .entropy import MIN_ENTROPY, differential_entropy
+from .ga import _randbelow
 from .requirement import Fragment, Proposition, validate
 
 CASE0 = "case0"
@@ -74,7 +75,7 @@ def _distinguishable(frag: Fragment) -> bool:
 
 
 def _scores(prop: Proposition, perf_values) -> tuple:
-    return tuple(prop.evaluate(v) for v in perf_values)
+    return tuple(map(prop.evaluate, perf_values))
 
 
 def _assert_valid(prop: Proposition):
@@ -175,9 +176,12 @@ def tighten_case1(p_a: Proposition, perf_values, rng: random.Random, *,
     return _shift_edge(p_a, perf_values, rng, entropy, relax=False)
 
 
-def _switch_kind(prop: Proposition, idx: int, new_kind: str) -> Proposition:
-    """Switch a fragment's kind, rederiving scores from its left boundary."""
-    frags = list(prop.fragments)
+# the kinds a fragment of each kind can switch to, in KINDS order
+_OTHER_KINDS = {"G": ("S", "E"), "S": ("G", "E"), "E": ("G", "S")}
+
+
+def _switch_kind(frags: list, idx: int, new_kind: str) -> None:
+    """Switch fragment idx's kind, rederiving scores from its left boundary."""
     frag = frags[idx]
     if new_kind == "E":
         new = Fragment("E", frag.v_lo, frag.v_hi, frag.s_lo, frag.s_lo)
@@ -192,21 +196,19 @@ def _switch_kind(prop: Proposition, idx: int, new_kind: str) -> Proposition:
         # so the validation pass downstream rejects it
         new = Fragment("G", frag.v_lo, frag.v_hi, frag.s_lo, 1.0)
     frags[idx] = new
-    return Proposition(tuple(frags))
 
 
-def _move_boundary(prop: Proposition, j: int, rng: random.Random) -> Proposition:
+def _move_boundary(frags: list, j: int, rng: random.Random) -> None:
     """Move boundary j (between fragments j and j+1) uniformly within the
-    open interval spanned by its neighboring boundary points."""
-    left = prop.fragments[j]
-    right = prop.fragments[j + 1]
+    open interval spanned by its neighboring boundary points; a draw on
+    either end point leaves it where it is."""
+    left = frags[j]
+    right = frags[j + 1]
     new_b = rng.uniform(left.v_lo, right.v_hi)
-    if not left.v_lo < new_b < right.v_hi:
-        return prop
-    frags = list(prop.fragments)
-    frags[j] = Fragment(left.kind, left.v_lo, new_b, left.s_lo, left.s_hi)
-    frags[j + 1] = Fragment(right.kind, new_b, right.v_hi, right.s_lo, right.s_hi)
-    return Proposition(tuple(frags))
+    if left.v_lo < new_b < right.v_hi:
+        frags[j] = Fragment(left.kind, left.v_lo, new_b, left.s_lo, left.s_hi)
+        frags[j + 1] = Fragment(right.kind, new_b, right.v_hi, right.s_lo,
+                                right.s_hi)
 
 
 def mutate_proposition(p_a: Proposition, rng: random.Random) -> Proposition:
@@ -215,23 +217,23 @@ def mutate_proposition(p_a: Proposition, rng: random.Random) -> Proposition:
     Mutants that break the tiling or monotonicity invariants are redrawn up
     to MUTATION_ATTEMPT_CAP times.
     """
+    getrandbits = rng.getrandbits
+    count = len(p_a.fragments)
     for _ in range(MUTATION_ATTEMPT_CAP):
-        candidate = p_a
         u = rng.random()
-        can_move = len(candidate.fragments) >= 2
-        if not can_move:
+        if count < 2:
             do_switch, do_move = True, False
         else:
             do_switch = u < 1 / 3 or u >= 2 / 3
             do_move = u >= 1 / 3
+        frags = list(p_a.fragments)
         if do_switch:
-            idx = rng.randrange(len(candidate.fragments))
-            kind = candidate.fragments[idx].kind
-            new_kind = rng.choice([k for k in ("G", "S", "E") if k != kind])
-            candidate = _switch_kind(candidate, idx, new_kind)
+            idx = _randbelow(getrandbits, count)
+            kinds = _OTHER_KINDS[frags[idx].kind]
+            _switch_kind(frags, idx, kinds[_randbelow(getrandbits, len(kinds))])
         if do_move:
-            j = rng.randrange(len(candidate.fragments) - 1)
-            candidate = _move_boundary(candidate, j, rng)
+            _move_boundary(frags, _randbelow(getrandbits, count - 1), rng)
+        candidate = Proposition(tuple(frags))
         if candidate != p_a and not validate(candidate):
             return candidate
     raise RequirementEvolutionError(

@@ -256,7 +256,7 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
             else:
                 if reason is None and outcome.proposition != p_a:
                     p_a = outcome.proposition
-                    pop_a = [replace(m, fitness=f)
+                    pop_a = [Member(m.config, m.perf, f, m.order)
                              for m, f in zip(pop_a, outcome.scores)]
                     pa_changed_last = True
                 event = {

@@ -131,18 +131,23 @@ class TestKernelExactness:
     """The kernel gives the bits of the formula it replaced, not just close
     values: trajectories and their digests depend on every entropy."""
 
-    SIZES = (2, 3, 5, 10, 11, 20)
+    # numpy adds fewer than 8 terms one by one, up to 128 in eight
+    # accumulators plus a tail, and more by halves: every branch and edge
+    SIZES = (2, 3, 5, 7, 8, 9, 10, 11, 16, 17, 20, 128, 129, 300)
 
     @staticmethod
     def samples(n, rng, count=540):
         for i in range(count):
-            if i % 3 == 0:  # spread scores
+            if i % 4 == 0:  # spread scores
                 yield [rng.random() for _ in range(n)]
-            elif i % 3 == 1:  # ties at both ends of the score range
+            elif i % 4 == 1:  # ties at both ends of the score range
                 yield [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
-            else:  # near-constant: the bandwidth floor applies
+            elif i % 4 == 2:  # near-constant: the bandwidth floor applies
                 base = rng.random()
                 yield [base + rng.choice((0.0, 1e-9, 1e-7)) for _ in range(n)]
+            else:  # tie-heavy: 1 to 4 distinct scores
+                scores = [rng.random() for _ in range(1 + i // 4 % 4)]
+                yield [rng.choice(scores) for _ in range(n)]
 
     def test_entropy_bits_match_the_reference(self):
         rng = random.Random(2024)
@@ -157,7 +162,7 @@ class TestKernelExactness:
                 if (expected != MIN_ENTROPY
                         and silverman_bandwidth(sample) == BANDWIDTH_FLOOR):
                     floored += 1
-        assert checked == 3240
+        assert checked == 7560
         assert floored > 100
 
     def test_density_bits_match_the_reference(self):

@@ -938,6 +938,23 @@ class TestCli:
         assert tuple(float(x) for x in args.d.split(",")) == spec.d_levels
         assert (args.types, args.seed) == (spec.types, spec.seed)
 
+    def test_gen_reqs_names_a_csv_by_its_stem(self, tmp_path, monkeypatch):
+        write_csv(synth(seed=1, n_options=6, domain_sizes=2,
+                        shape="additive"), tmp_path / "land.csv")
+        monkeypatch.chdir(tmp_path)
+        written = []
+        for given in ("land.csv", str(tmp_path / "land.csv")):
+            out = tmp_path / f"reqs{len(written)}"
+            assert cli_main(["gen-reqs", "--landscape", given, "--d", "0.2,0.5",
+                             "--types", "1", "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes()
+                            for path in sorted(out.iterdir())})
+        assert written[0] == written[1]
+        assert "manifest.csv" in written[0] and len(written[0]) == 3
+        for name, text in written[0].items():
+            if name.endswith(".json"):
+                assert json.loads(text)["metadata"]["landscape"] == "land"
+
     def test_gen_reqs_on_a_missing_csv(self, tmp_path, capsys):
         assert cli_main(["gen-reqs", "--landscape",
                          str(tmp_path / "nope.csv")]) == 1
