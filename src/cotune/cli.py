@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import landscape as landscape_mod
 from . import harness, reqgen
@@ -35,31 +34,36 @@ def _cmd_run(args) -> int:
     print(f"results written to {result['out_dir']}")
     for name, count in sorted(result["best_rank_counts"].items()):
         print(f"  {name}: rank-1 in {count} cells")
-    if result["failures"]:
-        print(f"{len(result['failures'])} run(s) failed; see manifest.json",
-              file=sys.stderr)
-        return 2
-    return 0
+    runs = sum("tuner" in failure for failure in result["failures"])
+    for count, what in ((runs, "run(s) failed"),
+                        (len(result["failures"]) - runs,
+                         "requirement(s) could not be built")):
+        if count:
+            print(f"{count} {what}; see manifest.json", file=sys.stderr)
+    return 2 if result["failures"] else 0
 
 
 def _cmd_gen_reqs(args) -> int:
     try:
-        # named by its file stem, as run_experiment names an unnamed CSV
-        # landscape, so the requirement files do not depend on the path
-        land = landscape_mod.load_csv(args.landscape,
-                                      name=Path(args.landscape).stem)
+        land = landscape_mod.load_csv(args.landscape)
         spec = reqgen.GenSpec(
             d_levels=tuple(float(x) for x in args.d.split(",")),
             types=args.types,
             seed=args.seed,
         )
-        out_dir = args.out or (Path(args.landscape).stem + "_reqs")
+        out_dir = args.out or f"{land.name}_reqs"
         entries = reqgen.generate_suite(land, spec, out_dir=out_dir)
-    except (OSError, ValueError, reqgen.CalibrationError) as exc:
+    except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    print(f"{len(entries)} requirement(s) written to {out_dir}")
-    return 0
+    failed = [entry for entry in entries if entry.error]
+    if len(failed) == len(entries):  # nothing written
+        print(failed[0].error, file=sys.stderr)
+        return 1
+    for entry in failed:
+        print(f"{entry.label}: {entry.error}", file=sys.stderr)
+    print(f"{len(entries) - len(failed)} requirement(s) written to {out_dir}")
+    return 2 if failed else 0
 
 
 def _cmd_rank(args) -> int:

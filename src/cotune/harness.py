@@ -62,6 +62,10 @@ def _tuner_params(spec, early_stop: bool):
     """The TunerParams of one tuner's runs; params that TunerParams rejects
     raise HarnessError."""
     try:
+        # a tuner does not stop by a rule of its own: the sweep sets it
+        if "early_stop" in spec.params:
+            raise TypeError("early_stop is not a tuner param; set the "
+                            "config's top-level early_stop")
         return tuners.TunerParams(early_stop=early_stop, **spec.params)
     except (TypeError, ValueError) as exc:
         raise HarnessError(f"tuner {spec.name!r}: {exc}") from None
@@ -177,10 +181,9 @@ def _check_landscape_entry(entry) -> None:
 
 def _resolve_landscape(entry) -> landscape_mod.Landscape:
     if "csv" in entry:
-        # an unnamed CSV landscape is named by its file stem: its path may be
-        # absolute, and out_dir / name would then drop out_dir
-        return landscape_mod.load_csv(
-            entry["csv"], name=entry.get("name") or Path(entry["csv"]).stem)
+        # load_csv names an unnamed landscape by its file stem, not by its
+        # path, which may be absolute: out_dir / name would drop out_dir
+        return landscape_mod.load_csv(entry["csv"], name=entry.get("name"))
     return landscape_mod.synth(**entry["synth"], name=entry.get("name"))
 
 
@@ -215,13 +218,15 @@ def _load_requirements(entries) -> list:
 
 
 def _resolve_requirements(loaded, land):
-    """(label, proposition) pairs of the loaded entries on one landscape:
-    a GenSpec is calibrated against it."""
+    """(label, proposition, error) of each loaded requirement on one
+    landscape: a GenSpec is calibrated against it (see generate_suite)."""
     out = []
     for labels, source in loaded:
-        props = ([gen.proposition for gen in reqgen.generate_suite(land, source)]
-                 if isinstance(source, reqgen.GenSpec) else [source])
-        out.extend(zip(labels, props))
+        if isinstance(source, reqgen.GenSpec):
+            out += [(entry.label, entry.proposition, entry.error)
+                    for entry in reqgen.generate_suite(land, source)]
+        else:
+            out.append((labels[0], source, ""))
     return out
 
 
@@ -243,14 +248,14 @@ def _write_trajectory(path: Path, result) -> None:
 
 def run_experiment(config: ExperimentConfig):
     """Execute the full sweep; a run that fails, or whose trajectory cannot
-    be written, is logged as a failure, never fatal, and so is a landscape
-    on which a generation spec cannot be calibrated. A landscape entry that
-    ``_check_landscape_entry`` rejects, a landscape that cannot be built, a
-    requirement entry that ``_load_requirements`` rejects, a tuner's params
-    that ``TunerParams`` rejects, or a landscape or tuner name that breaks
-    ``_check_names``' rule (checked again here, so that a config changed
-    after it was built is held to it), raise HarnessError before any run
-    starts.
+    be written, is logged as a failure, never fatal, and so is a generated
+    requirement that cannot be calibrated on its landscape. A landscape
+    entry that ``_check_landscape_entry`` rejects, a landscape that cannot
+    be built, a requirement entry that ``_load_requirements`` rejects, a
+    tuner's params that ``TunerParams`` rejects, or a landscape or tuner
+    name that breaks ``_check_names``' rule (checked again here, so that a
+    config changed after it was built is held to it), raise HarnessError
+    before any run starts.
 
     Returns a dict with the output directory, the failure log and the
     best-rank roll-up. Deterministic for a fixed seed base.
@@ -282,7 +287,11 @@ def run_experiment(config: ExperimentConfig):
         except Exception as exc:  # noqa: BLE001
             failures.append({"landscape": land.name, "error": str(exc)})
             continue
-        for req_name, prop in reqs:
+        for req_name, prop, error in reqs:
+            if error:
+                failures.append({"landscape": land.name,
+                                 "requirement": req_name, "error": error})
+                continue
             for spec, params in zip(config.tuners, run_params):
                 for k in range(config.repeats):
                     work.append((land, req_name, prop, spec, params, k))

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -249,7 +250,7 @@ def load_csv(path, name=None) -> Landscape:
 
     Option domains are inferred as the sorted distinct values per column;
     duplicate configuration rows and non-finite performance values are
-    rejected.
+    rejected. Without a name, the landscape is named by the file's stem.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -296,7 +297,7 @@ def load_csv(path, name=None) -> Landscape:
         lineno = linenos[int(order[repeats + 1].min())]
         raise LandscapeError(f"{path}: row {lineno}: duplicate configuration")
     perfs = perfs[order]
-    return Landscape(options, perfs, codes=codes, name=name or str(path))
+    return Landscape(options, perfs, codes=codes, name=name or Path(path).stem)
 
 
 def write_csv(landscape: Landscape, path) -> None:

@@ -63,13 +63,16 @@ class GenSpec:
             raise ValueError(f"types must be between 1 and {len(TYPE_PATTERNS)}")
 
     def labels(self) -> list:
-        """Each requirement's label, t<type>_d<level>, in generate_suite's
-        order; it names the requirement's file and its sweep cell."""
-        return [f"t{t + 1}_d{d:g}" for t in range(self.types)
-                for d in self.d_levels]
+        """Each requirement's label in generate_suite's order; it names the
+        requirement's file and its sweep cell."""
+        return [_label(t, d) for t in range(self.types) for d in self.d_levels]
 
     def tolerance(self, d: float, space_size: int) -> float:
         return max(RELATIVE_TOLERANCE * d, 1.0 / space_size)
+
+
+def _label(type_index: int, d: float) -> str:
+    return f"t{type_index + 1}_d{d:g}"
 
 
 def _shape_scores(pattern, rng: random.Random):
@@ -203,10 +206,13 @@ def _check(prop, achieved, d, tolerance):
 
 @dataclass
 class SuiteEntry:
+    """A suite's requirement, or the error of a level that did not calibrate."""
+    label: str
     type_index: int
     d_requested: float
-    d_achieved: float
-    proposition: Proposition
+    d_achieved: float | None = None
+    proposition: Proposition | None = None
+    error: str = ""
     file: str = ""
 
 
@@ -214,39 +220,41 @@ def generate_suite(landscape: Landscape, spec: GenSpec,
                    out_dir=None) -> list:
     """Cross-product of requirement types and d levels (default 3 x 6 = 18).
 
-    With out_dir set, each proposition is written as JSON (with achieved-d
-    metadata) next to a manifest CSV indexing the suite.
+    A level that raises CalibrationError fails alone, with its error; the
+    ratios and scores are drawn before the bisection, so no later level
+    changes. With out_dir set, each calibrated proposition is written as
+    JSON (with achieved-d metadata) next to a manifest CSV indexing them.
     """
     rng = random.Random(spec.seed)
     entries = []
     for type_index in range(spec.types):
         for d in spec.d_levels:
-            prop, achieved = _calibrate(landscape, d, spec, rng, type_index)
-            entries.append(SuiteEntry(type_index, d, achieved, prop))
+            entry = SuiteEntry(_label(type_index, d), type_index, d)
+            try:
+                entry.proposition, entry.d_achieved = _calibrate(
+                    landscape, d, spec, rng, type_index)
+            except CalibrationError as exc:
+                entry.error = str(exc)
+            entries.append(entry)
 
-    if out_dir is not None:
+    built = [entry for entry in entries if not entry.error]
+    if out_dir is not None and built:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for entry, label in zip(entries, spec.labels()):
-            fname = f"req_{label}.json"
-            payload = entry.proposition.to_json()
-            payload["metadata"] = {
-                "landscape": landscape.name,
-                "type_index": entry.type_index,
-                "d_requested": entry.d_requested,
-                "d_achieved": entry.d_achieved,
-            }
-            (out_dir / fname).write_text(
+        rows = []  # each file's metadata, then its name
+        for entry in built:
+            entry.file = f"req_{entry.label}.json"
+            metadata = {"landscape": landscape.name,
+                        "type_index": entry.type_index,
+                        "d_requested": entry.d_requested,
+                        "d_achieved": entry.d_achieved}
+            payload = {**entry.proposition.to_json(), "metadata": metadata}
+            (out_dir / entry.file).write_text(
                 json.dumps(payload, indent=2), encoding="utf-8")
-            entry.file = fname
+            rows.append([*metadata.values(), entry.file])
         with open(out_dir / "manifest.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["landscape", "type_index", "d_requested", "d_achieved", "file"])
-            for entry in entries:
-                writer.writerow([
-                    landscape.name, entry.type_index, entry.d_requested,
-                    entry.d_achieved, entry.file,
-                ])
+            writer.writerow([*metadata, "file"])
+            writer.writerows(rows)
     return entries

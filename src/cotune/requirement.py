@@ -3,14 +3,16 @@
 A requirement over a (minimized) performance metric is expressed as a
 *proposition*: an ordered sequence of fragments tiling ``[v_min, v_max]``.
 Each fragment maps metric values to a satisfaction score in ``[0, 1]`` via a
-linear (kind ``G`` or ``S``) or constant (kind ``E``) membership function.
+linear membership function: the line through its end scores (kind ``G`` or
+``S``) or the line of slope 0 at its score (kind ``E``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,22 +48,19 @@ class Fragment:
             raise PropositionError(f"unknown fragment kind {self.kind!r}")
 
     def score(self, v: float) -> float:
-        """Membership value at v; v is assumed inside [v_lo, v_hi]."""
-        if self.kind == "E":
-            return self.s_lo
+        """Membership value at a finite v; v is assumed inside [v_lo, v_hi]."""
         slope, intercept = self.line()
         return slope * v + intercept
 
     def line(self) -> tuple[float, float]:
-        """(slope, intercept) of a G or S fragment's membership function.
-
-        Raises ZeroDivisionError on a zero-width fragment.
-        """
-        slope = (self.s_lo - self.s_hi) / (self.v_lo - self.v_hi)
-        intercept = (self.s_hi * self.v_lo - self.s_lo * self.v_hi) / (
-            self.v_lo - self.v_hi
-        )
-        return slope, intercept
+        """(slope, intercept) of the membership function: slope 0 at s_lo
+        for an E fragment; through the end scores for a G or S fragment,
+        which raises ZeroDivisionError if it has zero width."""
+        if self.kind == "E":
+            return 0.0, self.s_lo
+        dv = self.v_lo - self.v_hi
+        return ((self.s_lo - self.s_hi) / dv,
+                (self.s_hi * self.v_lo - self.s_lo * self.v_hi) / dv)
 
     def area(self) -> float:
         """Exact area under the membership function over [v_lo, v_hi]."""
@@ -91,23 +90,15 @@ class Proposition:
     def _scoring(self) -> tuple:
         """(v_min, v_max, right edges, lines), computed on first scoring.
 
-        The lines hold, per fragment, the (slope, intercept) that
-        Fragment.score computes. The slope is None for an E fragment, whose
-        intercept is then its constant score. A zero-width G or S fragment
-        has no line (None): scoring it goes through Fragment.score, which
+        The lines hold each fragment's Fragment.line(). A zero-width G or S
+        fragment has none (None): scoring it calls Fragment.line, which
         divides by zero as it always has, and validate reports it. A
         proposition that is only validated or encoded never builds these.
         """
-        lines = []
-        for f in self.fragments:
-            if f.kind == "E":
-                lines.append((None, f.s_lo))
-            elif f.v_lo == f.v_hi:
-                lines.append(None)
-            else:
-                lines.append(f.line())
+        lines = tuple(None if f.kind != "E" and f.v_lo == f.v_hi else f.line()
+                      for f in self.fragments)
         bounds = tuple(f.v_hi for f in self.fragments)
-        return self.v_min, self.v_max, bounds, tuple(lines)
+        return self.v_min, self.v_max, bounds, lines
 
     @property
     def v_min(self) -> float:
@@ -132,11 +123,9 @@ class Proposition:
         else:
             # first fragment whose right edge reaches v: v in (v_lo, v_hi]
             idx = bisect_left(bounds, v)
-        line = lines[idx]
-        if line is None:
-            return self.fragments[idx].score(v)
-        slope, intercept = line
-        return intercept if slope is None else slope * v + intercept
+        # a zero-width G or S fragment's line divides by zero
+        slope, intercept = lines[idx] or self.fragments[idx].line()
+        return slope * v + intercept
 
     def evaluate_many(self, values) -> np.ndarray:
         """Satisfaction scores of a 1-D sequence of values, as float64.
@@ -158,13 +147,8 @@ class Proposition:
         idx[low] = 0
         idx[high] = len(lines) - 1
         v = np.where(low, v_min, np.where(high, v_max, values))
-        constant = np.array([slope is None for slope, _ in lines])
-        slopes = np.array([0.0 if slope is None else slope for slope, _ in lines],
-                          dtype=np.float64)
-        intercepts = np.array([intercept for _, intercept in lines],
-                              dtype=np.float64)
-        at = intercepts[idx]
-        return np.where(constant[idx], at, slopes[idx] * v + at)
+        slopes, intercepts = np.array(lines, dtype=np.float64).T
+        return slopes[idx] * v + intercepts[idx]
 
     def integral(self) -> float:
         """Closed-form area under p(v) over [v_min, v_max]."""
@@ -179,27 +163,20 @@ class Proposition:
         return tokens
 
     def to_json(self) -> dict:
-        return {
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-            "fragments": [
-                {
-                    "kind": f.kind,
-                    "v_lo": f.v_lo,
-                    "v_hi": f.v_hi,
-                    "s_lo": f.s_lo,
-                    "s_hi": f.s_hi,
-                }
-                for f in self.fragments
-            ],
-        }
+        return {"v_min": self.v_min, "v_max": self.v_max,
+                "fragments": [asdict(f) for f in self.fragments]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Proposition":
+        """The proposition of a to_json object. A bound or score that is not
+        finite raises PropositionError (an E line's 0.0 * inf is NaN)."""
         frags = tuple(
             Fragment(f["kind"], f["v_lo"], f["v_hi"], f["s_lo"], f["s_hi"])
             for f in obj["fragments"]
         )
+        if not all(math.isfinite(x) for f in frags
+                   for x in (f.v_lo, f.v_hi, f.s_lo, f.s_hi)):
+            raise PropositionError("bounds and scores must be finite numbers")
         prop = cls(frags)
         if prop.v_min != obj["v_min"] or prop.v_max != obj["v_max"]:
             raise PropositionError("fragment range disagrees with declared bounds")

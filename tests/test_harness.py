@@ -540,6 +540,9 @@ MALFORMED = {
                                    "mutation_rate must be a number"),
     "enable_case0 as a string": (with_param(enable_case0="no"),
                                  "enable_case0 must be true or false"),
+    "a tuner's own early_stop": (with_param(early_stop=True),
+                                 "'CoTune': early_stop is not a tuner param; "
+                                 "set the config's top-level early_stop"),
     "tuner named to climb out of its cell": (
         with_tuners({"name": "../../escaped", "kind": "cotune"}),
         "must be one path component"),
@@ -768,6 +771,45 @@ class TestRequirementEntries:
         assert len(json.loads((tmp_path / "out" / "manifest.json")
                               .read_text())["runs"]) == 4
 
+    PLATEAU = {"name": "plateau", "synth": {
+        "seed": 5, "n_options": 10, "domain_sizes": 2, "shape": "plateau"}}
+    # d=0.001 cannot be calibrated on PLATEAU, d=0.9 can
+    LEVELS = {"gen": {"d_levels": [0.001, 0.9], "types": 1, "seed": 42}}
+
+    def test_a_level_that_cannot_be_calibrated_fails_alone(self, tmp_path,
+                                                           capsys):
+        config_path = write_config(tmp_path, json.dumps(config_obj(
+            tmp_path, landscapes=[self.PLATEAU],
+            requirements=[self.LEVELS])))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "1 requirement(s) could not be built" in err
+        assert "run(s) failed" not in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        [failure] = manifest["failures"]
+        assert (failure["landscape"], failure["requirement"]) == (
+            "plateau", "t1_d0.001")
+        assert "cannot realize d=0.001" in failure["error"]
+        assert {(r["requirement"], r["tuner"]) for r in manifest["runs"]} == {
+            ("t1_d0.9", "CoTune"), ("t1_d0.9", "Random")}
+        assert len(manifest["runs"]) == 4
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            assert {row["requirement"] for row in csv.DictReader(fh)} == {
+                "t1_d0.9"}
+
+    def test_failed_runs_and_unbuilt_requirements_are_told_apart(
+            self, tmp_path, capsys):
+        config_path = write_config(tmp_path, json.dumps(config_obj(
+            tmp_path, landscapes=[self.PLATEAU], requirements=[self.LEVELS],
+            tuners=[{"name": "Broken", "kind": "cotune",
+                     "params": {"budget": 5}},
+                    {"name": "Random", "params": {"budget": 60}}])))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-2:] == [
+            "2 run(s) failed; see manifest.json",
+            "1 requirement(s) could not be built; see manifest.json"]
+
 
 class TestCli:
     def test_synth_gen_run_rank(self, tmp_path, capsys):
@@ -987,6 +1029,23 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert "cannot realize d=0.5" in err
         assert not out.exists()
+
+    def test_gen_reqs_writes_the_levels_that_calibrate(self, tmp_path,
+                                                       capsys):
+        land_csv = tmp_path / "plateau.csv"
+        assert cli_main(["synth", "--seed", "5", "--options", "10",
+                         "--shape", "plateau", "--out", str(land_csv)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "reqs"
+        assert cli_main(["gen-reqs", "--landscape", str(land_csv),
+                         "--d", "0.001,0.9", "--types", "1", "--seed", "42",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("t1_d0.001: plateau: cannot realize d=0.001")
+        assert captured.out == f"1 requirement(s) written to {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.csv", "req_t1_d0.9.json"]
 
     @pytest.mark.parametrize("options, match", [
         ("30", "exceeds enumeration cap"), ("0", "at least one option")])

@@ -149,6 +149,15 @@ class TestCsv:
         assert loaded.space_size == land.space_size
         assert loaded.measurements == land.measurements
 
+    def test_an_unnamed_landscape_is_named_by_its_stem(self, tmp_path):
+        path = tmp_path / "x264" / "data.csv"
+        path.parent.mkdir()
+        write_csv(synth(seed=4, n_options=3, domain_sizes=2,
+                        shape="additive"), path)
+        assert load_csv(path).name == "data"
+        assert load_csv(str(path)).name == "data"
+        assert load_csv(path, name="x264").name == "x264"
+
     def test_duplicate_rows_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("a,b,performance\n1,2,3.0\n1,2,4.0\n")

@@ -212,3 +212,39 @@ class TestGenerateSuite:
         for entry in entries:
             assert entry.d_achieved == satisfiability_fraction(
                 land, entry.proposition)
+
+    def test_a_level_that_cannot_be_calibrated_fails_alone(self, tmp_path):
+        # d=0.001 cannot be cut out of this plateau space; d=0.9 can, and
+        # is the proposition it would be after the failed level's draws
+        land = synth(seed=5, n_options=10, domain_sizes=2, shape="plateau")
+        spec = GenSpec(d_levels=(0.001, 0.9), types=1, seed=42)
+        failed, built = generate_suite(land, spec, out_dir=tmp_path)
+        assert (failed.label, built.label) == ("t1_d0.001", "t1_d0.9")
+        assert "cannot realize d=0.001" in failed.error
+        assert failed.proposition is None and failed.file == ""
+        assert built.error == ""
+        rng = random.Random(spec.seed)
+        with pytest.raises(CalibrationError):
+            generate_target(land, 0.001, spec, rng, 0)
+        assert built.proposition == generate_target(land, 0.9, spec, rng, 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.csv", "req_t1_d0.9.json"]
+        with open(tmp_path / "manifest.csv", newline="") as fh:
+            assert [row["file"] for row in csv.DictReader(fh)] == [
+                "req_t1_d0.9.json"]
+
+    def test_nothing_is_written_when_no_level_calibrates(self, tmp_path):
+        land = synth(seed=5, n_options=10, domain_sizes=2, shape="plateau")
+        spec = GenSpec(d_levels=(0.001,), types=2, seed=42)
+        out = tmp_path / "reqs"
+        entries = generate_suite(land, spec, out_dir=out)
+        assert [e.label for e in entries] == spec.labels()
+        assert all(e.error and e.proposition is None for e in entries)
+        assert not out.exists()
+
+    def test_entries_carry_their_labels(self):
+        spec = GenSpec(d_levels=(0.2, 0.5), types=2, seed=3)
+        entries = generate_suite(uniform_landscape(), spec)
+        assert [e.label for e in entries] == spec.labels()
+        assert [(e.type_index, e.d_requested) for e in entries] == [
+            (0, 0.2), (0, 0.5), (1, 0.2), (1, 0.5)]

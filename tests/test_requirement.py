@@ -73,6 +73,32 @@ class TestFragment:
         for v in (0.0, 1.7, 3.0):
             assert f.score(v) == 0.4
 
+    def test_e_fragment_is_a_line_of_slope_0(self):
+        f = Fragment("E", -3.0, 5.0, 0.4, 0.4)
+        assert list(map(bits, f.line())) == [bits(0.0), bits(0.4)]
+        values = [-3.0, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.5, 5.0, -1e300,
+                  1e300]
+        assert [bits(f.score(v)) for v in values] == [bits(0.4)] * len(values)
+        prop = Proposition((f,))
+        clamps = [-math.inf, -4.0, 6.0, math.inf]
+        assert [bits(prop.evaluate(v)) for v in values + clamps] == (
+            [bits(0.4)] * len(values + clamps))
+        assert_bitwise_equal(prop.evaluate_many(values + clamps),
+                             [0.4] * len(values + clamps))
+
+    def test_e_fragment_at_minus_zero(self):
+        # 0.0 * v + -0.0 is +0.0 at v >= 0 and -0.0 below: equal to 0.0
+        # everywhere, but only its sign below 0 is kept
+        f = Fragment("E", -2.0, 2.0, -0.0, -0.0)
+        assert list(map(bits, f.line())) == [bits(0.0), bits(-0.0)]
+        assert bits(f.score(-1.0)) == bits(-0.0)
+        assert bits(f.score(0.0)) == bits(f.score(1.0)) == bits(0.0)
+        prop = Proposition((f,))
+        values = [-3.0, -1.0, 0.0, 1.0, 3.0]
+        scores = [-0.0, -0.0, 0.0, 0.0, 0.0]
+        assert [bits(prop.evaluate(v)) for v in values] == list(map(bits, scores))
+        assert_bitwise_equal(prop.evaluate_many(values), scores)
+
     def test_area(self):
         assert Fragment("E", 0.0, 2.0, 0.5, 0.5).area() == pytest.approx(1.0)
         assert Fragment("S", 0.0, 2.0, 1.0, 0.0).area() == pytest.approx(1.0)
@@ -227,6 +253,23 @@ class TestJson:
         obj["v_max"] = 99.0
         with pytest.raises(PropositionError):
             Proposition.from_json(obj)
+
+    @pytest.mark.parametrize("key", ["v_min", "v_max", "v_lo", "v_hi",
+                                     "s_lo", "s_hi"])
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_numbers_rejected(self, key, token):
+        # json reads these tokens as floats; an E fragment would score
+        # 0.0 * inf, which is NaN, at an infinite bound
+        obj = json.loads(EXAMPLE.dumps())
+        if key in ("v_min", "v_max"):
+            obj[key] = "@"
+            frag = obj["fragments"][0 if key == "v_min" else -1]
+            frag["v_lo" if key == "v_min" else "v_hi"] = "@"
+        else:
+            obj["fragments"][2][key] = "@"
+        text = json.dumps(obj).replace('"@"', token)
+        with pytest.raises(PropositionError, match="finite"):
+            Proposition.loads(text)
 
 
 class TestValidate:
