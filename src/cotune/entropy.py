@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from ._sums import left_sum
+
 GRID_POINTS = 512
 BANDWIDTH_FLOOR = 1e-4
 
@@ -41,8 +43,8 @@ def silverman_bandwidth(sample) -> float:
     """
     xs = sorted(float(x) for x in sample)
     n = len(xs)
-    mean = sum(xs) / n
-    std = math.sqrt(sum((x - mean) ** 2 for x in xs) / n)
+    mean = left_sum(xs) / n
+    std = math.sqrt(left_sum((x - mean) ** 2 for x in xs) / n)
     iqr = _quantile(xs, 0.75) - _quantile(xs, 0.25)
     sigma = min(std, iqr / 1.34) if iqr > 0 else std
     bw = 1.06 * sigma * n ** (-0.2)

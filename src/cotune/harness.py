@@ -25,6 +25,7 @@ import numpy as np
 
 from . import landscape as landscape_mod
 from . import reqgen, tuners
+from ._sums import left_sum
 from .requirement import Proposition
 
 # the effect size and significance level a Scott-Knott ESD split must reach
@@ -483,14 +484,14 @@ def scott_knott_esd(samples: dict, test: str = "welch") -> list:
     def partition(group):
         if len(group) < 2:
             return [group]
-        grand = (sum(mean[t] * len(samples[t]) for t in group)
+        grand = (left_sum(mean[t] * len(samples[t]) for t in group)
                  / sum(len(samples[t]) for t in group))
         best_cut, best_ssb = None, -1.0
         for cut in range(1, len(group)):
             ssb = 0.0
             for side in (group[:cut], group[cut:]):
                 n = sum(len(samples[t]) for t in side)
-                m = sum(mean[t] * len(samples[t]) for t in side) / n
+                m = left_sum(mean[t] * len(samples[t]) for t in side) / n
                 ssb += n * (m - grand) ** 2
             if ssb > best_ssb:
                 best_cut, best_ssb = cut, ssb

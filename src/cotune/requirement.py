@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._sums import left_sum
+
 KINDS = ("G", "S", "E")
 
 # Slack for float comparisons in validation; boundary moves and score
@@ -152,7 +154,7 @@ class Proposition:
 
     def integral(self) -> float:
         """Closed-form area under p(v) over [v_min, v_max]."""
-        return sum(f.area() for f in self.fragments)
+        return left_sum(f.area() for f in self.fragments)
 
     def encode(self) -> list:
         """Token sequence kind, boundary, kind, ... excluding v_min/v_max."""

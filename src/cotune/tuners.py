@@ -1,11 +1,12 @@
 """Tuner implementations behind a single run interface.
 
 Every tuner is called as ``tuner(landscape, p_t, params, seed, label=...)``
-and labels its ``TunerResult`` itself. ``cotune_run`` co-evolves an
-auxiliary proposition with two configuration populations; ``ga_run`` is the
-same engine without requirement co-evolution (satisfaction objective) or a
-plain single-population GA on raw performance; ``random_run`` is the uniform
-sampling sanity baseline. ``run_tuner`` runs one of the ``TUNER_KINDS``.
+and labels its ``TunerResult`` itself. The GA tuners share one generation
+loop: ``cotune_run`` co-evolves an auxiliary proposition with two
+configuration populations; ``ga_run`` runs the loop without co-evolution
+(GA_p) or on one population ranked by negated performance ``-v`` (GA_r).
+``random_run`` is the uniform sampling sanity baseline. ``run_tuner`` runs
+one of the ``TUNER_KINDS``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from . import reqevolve
+from ._sums import left_sum
 from .entropy import differential_entropy
 from .ga import Member, make_offspring, preserve_top
 from .landscape import BudgetExhausted, BudgetMeter, Landscape, measure
@@ -84,8 +86,10 @@ class TunerResult:
 def compute_theta(mean_pt_a, mean_pt_t, improvement_a, improvement_t):
     """Probability of letting the auxiliary proposition guide this iteration.
 
-    Each weight combines how well the population serves the target with the
-    progress its own proposition achieved last iteration (floored at 0).
+    Each weight is a population's mean p_t score plus the progress of its
+    own proposition (floored at 0). The tuner passes 0.0 for both: theta is
+    drawn on the populations the previous iteration preserved, so neither
+    best under its own proposition has moved since.
     """
     w_a = mean_pt_a + max(0.0, improvement_a)
     w_t = mean_pt_t + max(0.0, improvement_t)
@@ -95,7 +99,7 @@ def compute_theta(mean_pt_a, mean_pt_t, improvement_a, improvement_t):
 
 
 def _mean(xs):
-    return sum(xs) / len(xs)
+    return left_sum(xs) / len(xs)
 
 
 def _sample_distinct_configs(landscape, n, rng):
@@ -134,13 +138,13 @@ def _measure_until_exhausted(landscape, meter, configs):
     return measured
 
 
-def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
-               seed: int, label: str = "CoTune",
-               meter: BudgetMeter | None = None) -> TunerResult:
-    """Co-evolutionary tuning of configurations and an auxiliary proposition.
+def _evolve(landscape, p_t, params, seed, label, meter=None, raw=False):
+    """The generation loop of CoTune, GA_p and GA_r.
 
-    Deterministic for a fixed seed. Disabling all three cases turns this into
-    the plain requirement-guided GA (identical trace for the same seed).
+    pop_t's fitness is the p_t score, or ``-v`` for the raw GA (GA_r), which
+    runs on pop_t alone: no theta draw, no pop_a and no cases. The best on
+    target is the history's first fittest configuration, taken when p_t
+    scores it above the best so far.
     """
     rng, meter, sample = _initial_sample(landscape, params, seed, meter)
     n = params.population_size
@@ -148,22 +152,31 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
 
     result = TunerResult(label, None, float("-inf"))
 
-    # p_t never changes, so each configuration is scored with it once, when
-    # first measured; pop_t's fitness and theta read these scores
-    pt_score = {}  # config -> its p_t score, in measurement order
-    best_seen = None  # (config, score): the first best of the history
+    # each configuration gets its fitness once, when first measured; pop_t,
+    # theta and the best tracker read it
+    fit = {}  # config -> its fitness, in measurement order
+    fittest = None  # (config, fitness): the first fittest of the history
 
     def score_measured():
-        nonlocal best_seen
+        nonlocal fittest
         # a tie keeps the earlier configuration, as max over the whole
         # history in measurement order would
-        for config, perf in islice(meter.cache.items(), len(pt_score), None):
-            score = pt_score[config] = p_t.evaluate(perf)
-            if best_seen is None or score > best_seen[1]:
-                best_seen = (config, score)
+        for config, perf in islice(meter.cache.items(), len(fit), None):
+            f = fit[config] = -perf if raw else p_t.evaluate(perf)
+            if fittest is None or f > fittest[1]:
+                fittest = (config, f)
+
+    def adopt_fittest():  # -> whether the best on target improved
+        config, score = fittest
+        if raw:  # the first lowest value, scored with p_t
+            score = p_t.evaluate(meter.cache[config])
+        if score > result.best_score:
+            result.best_config, result.best_score = config, score
+            return True
+        return False
 
     score_measured()
-    pop_t = [Member(c, v, pt_score[c], i) for i, (c, v) in enumerate(sample)]
+    pop_t = [Member(c, v, fit[c], i) for i, (c, v) in enumerate(sample)]
     # pop_a's fitness is always its score under p_a: p_a starts as p_t, and
     # pop_a is refitted whenever p_a changes
     pop_a = list(pop_t)
@@ -177,53 +190,54 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     def entropy_pa():
         return entropy(tuple(m.fitness for m in pop_a))
 
-    result.best_config, result.best_score = best_seen
     stagnation = 0
     pa_changed_last = False
 
     def record(iteration, guiding, case, theta):
         result.trajectory.append(TrajectoryRow(
             iteration, meter.consumed, result.best_score,
-            guiding, case or "", theta, entropy_pa(),
+            guiding, case or "", theta, 0.0 if raw else entropy_pa(),
         ))
 
-    record(0, "", "", 0.0)
+    adopt_fittest()
+    record(0, "raw" if raw else "", "", 0.0)
     stop = params.early_stop and result.best_score == 1.0
     iteration = 0
     while (not stop and meter.consumed + n < params.budget
            and iteration < params.generations):
         iteration += 1
 
-        # (a) guidance probability from both populations' standing. The
-        # progress terms are 0: a population holds the same configurations
-        # here as at the end of the previous iteration's (c), so its best
-        # under its own current proposition has not moved since
-        theta = compute_theta(
-            _mean([pt_score[m.config] for m in pop_a]),
-            _mean([m.fitness for m in pop_t]),
-            0.0, 0.0,
-        )
+        if raw:
+            theta, guiding, source = 0.0, "raw", pop_t
+        else:
+            # (a) guidance probability from both populations' standing
+            theta = compute_theta(
+                _mean([fit[m.config] for m in pop_a]),
+                _mean([m.fitness for m in pop_t]),
+                0.0, 0.0,
+            )
+            use_aux = rng.random() < theta or pa_changed_last
+            guiding = "p_a" if use_aux else "p_t"
+            source = pop_a if use_aux else pop_t
 
-        # (b) evolve new configurations under the chosen proposition
-        use_aux = rng.random() < theta or pa_changed_last
-        guiding = "p_a" if use_aux else "p_t"
-        source = pop_a if use_aux else pop_t
+        # (b) evolve new configurations under the chosen population
         offspring = make_offspring(source, landscape.options, params, rng)
         newcomers = _measure_until_exhausted(landscape, meter, offspring)
         score_measured()
 
-        # (c) dual elitist preservation
+        # (c) elitist preservation of each population
         pop_t = preserve_top(
-            pop_t + [Member(c, v, pt_score[c], order + i)
+            pop_t + [Member(c, v, fit[c], order + i)
                      for i, (c, v) in enumerate(newcomers)], n)
-        pop_a = preserve_top(
-            pop_a + [Member(c, v, p_a.evaluate(v), order + i)
-                     for i, (c, v) in enumerate(newcomers)], n)
+        if not raw:
+            pop_a = preserve_top(
+                pop_a + [Member(c, v, p_a.evaluate(v), order + i)
+                         for i, (c, v) in enumerate(newcomers)], n)
         order += len(newcomers)
 
         # (d) evolve the auxiliary proposition when a case fires
         pa_changed_last = False
-        case = reqevolve.detect_case(
+        case = None if raw else reqevolve.detect_case(
             pop_t, pop_a, stagnation, params.stagnation_cap,
             enable=(params.enable_case0, params.enable_case1, params.enable_case2),
         )
@@ -275,11 +289,9 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
                 result.events.append(event)
 
         # (e) best-on-target tracking and stagnation accounting
-        best_config, best_score = best_seen
-        if best_score > result.best_score:
-            result.best_config, result.best_score = best_config, best_score
+        if adopt_fittest():
             stagnation = 0
-            stop = params.early_stop and best_score == 1.0
+            stop = params.early_stop and result.best_score == 1.0
         else:
             stagnation += 1
         record(iteration, guiding, case, theta)
@@ -288,64 +300,31 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     return result
 
 
+def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
+               seed: int, label: str = "CoTune",
+               meter: BudgetMeter | None = None) -> TunerResult:
+    """Co-evolutionary tuning of configurations and an auxiliary proposition.
+
+    Deterministic for a fixed seed. Disabling all three cases turns this into
+    the plain requirement-guided GA (identical trace for the same seed).
+    """
+    return _evolve(landscape, p_t, params, seed, label, meter)
+
+
 def ga_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
            seed: int, label: str | None = None,
            objective: str = "satisfaction") -> TunerResult:
-    """GA baselines: the requirement-guided GA_p is the co-evolution engine
-    with every case disabled; the raw GA_r optimizes negated performance in
-    a single population and reports the target score of its best point."""
+    """GA baselines on CoTune's generation loop: the requirement-guided GA_p
+    is ``cotune_run`` with every case disabled; the raw GA_r is the loop on
+    one population ranked by negated performance ``-v``, and reports the
+    p_t score of the first lowest value it measured."""
     if objective == "satisfaction":
         no_cases = replace(
             params, enable_case0=False, enable_case1=False, enable_case2=False)
         return cotune_run(landscape, p_t, no_cases, seed, label=label or "GA_p")
     if objective != "raw":
         raise ValueError(f"unknown objective {objective!r}")
-    return _ga_raw_run(landscape, p_t, params, seed, label or "GA_r")
-
-
-def _ga_raw_run(landscape, p_t, params, seed, label):
-    rng, meter, sample = _initial_sample(landscape, params, seed)
-    n = params.population_size
-    pop = [Member(c, v, -v, i) for i, (c, v) in enumerate(sample)]
-    order = len(sample)
-
-    result = TunerResult(label, None, float("-inf"))
-    lowest = None  # (config, perf): the first lowest of the history
-    scanned = 0  # cache entries already compared with lowest
-
-    def record(iteration):  # -> whether the run stops early
-        nonlocal lowest, scanned
-        # a tie keeps the earlier configuration, as min over the whole
-        # history in measurement order would; p_t scores a new lowest once
-        found = lowest
-        for config, perf in islice(meter.cache.items(), scanned, None):
-            if found is None or perf < found[1]:
-                found = (config, perf)
-        scanned = len(meter.cache)
-        if found is not lowest:
-            lowest = found
-            score = p_t.evaluate(lowest[1])
-            if score > result.best_score:
-                result.best_config, result.best_score = lowest[0], score
-        result.trajectory.append(TrajectoryRow(
-            iteration, meter.consumed, result.best_score, "raw", "", 0.0, 0.0))
-        return params.early_stop and result.best_score == 1.0
-
-    iteration = 0
-    stop = record(iteration)
-    while (not stop and meter.consumed + n < params.budget
-           and iteration < params.generations):
-        iteration += 1
-        offspring = make_offspring(pop, landscape.options, params, rng)
-        newcomers = [
-            Member(c, v, -v, order + i) for i, (c, v) in enumerate(
-                _measure_until_exhausted(landscape, meter, offspring))]
-        order += len(newcomers)
-        pop = preserve_top(pop + newcomers, n)
-        stop = record(iteration)
-
-    result.budget_consumed = meter.consumed
-    return result
+    return _evolve(landscape, p_t, params, seed, label or "GA_r", raw=True)
 
 
 def random_run(landscape: Landscape, p_t: Proposition, params: TunerParams,

@@ -27,10 +27,12 @@ bound (with and without absorbed fragments) and the error paths.
 
 import functools
 import hashlib
+import math
 import random
 
 import pytest
 
+from cotune import entropy, harness, requirement, tuners
 from cotune.entropy import differential_entropy
 from cotune.landscape import synth
 from cotune.reqevolve import RequirementEvolutionError, relax_case0, tighten_case1
@@ -149,6 +151,43 @@ def test_tuner_trajectories_match_golden(targets, cell):
     digest = sha256("\n".join(
         f"{fingerprint(r)} {r.best_config!r}" for r in runs))
     assert digest == GOLDEN_RUNS[cell]
+
+
+def compensated_sum(iterable, start=0):
+    """``sum()`` as Python 3.12 and later add floats: Neumaier's compensated
+    summation, its correction added once at the end."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    else:
+        return total
+    correction = 0.0
+    for x in items:
+        if type(x) is not float:
+            total = total + x
+            continue
+        t = total + x
+        if abs(total) >= abs(x):
+            correction += (total - t) + x
+        else:
+            correction += (x - t) + total
+        total = t
+    if correction and math.isfinite(correction):
+        total += correction
+    return total
+
+
+def test_tuner_cell_holds_under_compensated_sum(targets, monkeypatch):
+    # every float sum of a run must give the same bits on 3.12 and later as
+    # on 3.11, where sum() adds left to right ([0.1] * 10 sums to 1 - 2^-53)
+    assert compensated_sum([0.1] * 10) == 1.0
+    for module in (entropy, harness, requirement, tuners):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    test_tuner_trajectories_match_golden(
+        targets, ("synth-rugged-7", 0.001, "CoTune"))
 
 
 def test_generated_requirements_match_golden():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cotune import entropy as entropy_mod
 from cotune import reqevolve, tuners
 from cotune.entropy import MIN_ENTROPY, differential_entropy
-from cotune.landscape import BudgetMeter, synth
+from cotune.landscape import BudgetMeter, Landscape, OptionSpec, synth
 from cotune.reqgen import GenSpec, generate_target
 from cotune.requirement import Fragment, Proposition
 from cotune.tuners import (
@@ -384,8 +384,42 @@ class TestGaRun:
 
     def test_everything_satisfies_immediately(self):
         land = small_landscape()
-        r = ga_run(land, everything_satisfies(land),
-                   TunerParams(early_stop=True), seed=0)
+        for objective in ("satisfaction", "raw"):
+            r = ga_run(land, everything_satisfies(land),
+                       TunerParams(early_stop=True), seed=0,
+                       objective=objective)
+            assert r.best_score == 1.0
+            assert [row.iteration for row in r.trajectory] == [0]
+            assert r.budget_consumed == 10
+
+    def test_raw_stops_when_p_t_reaches_one(self):
+        # two of the 64 configurations score 1; seed 2's initial sample
+        # holds neither, and the second generation measures one
+        land = small_landscape()
+        p_t = strict_proposition(land, quantile=0.02)
+        r = ga_run(land, p_t, TunerParams(early_stop=True), seed=2,
+                   objective="raw")
+        assert [row.iteration for row in r.trajectory] == [0, 1, 2]
+        assert r.trajectory[-2].best_pt_score < 1.0
+        assert r.best_score == 1.0
+        assert r.budget_consumed == r.trajectory[-1].budget_used == 22
+        full = ga_run(land, p_t, TunerParams(early_stop=False), seed=2,
+                      objective="raw")
+        assert full.trajectory[-1].iteration == 30
+        assert full.trajectory[:3] == r.trajectory
+
+    def test_raw_reports_the_first_lowest_value_among_ties(self):
+        # 2.0 and 1.0 both score 1; the seed's initial sample measures 2.0
+        # first, so the first best p_t score of the history is at (0, 1)
+        # while GA_r reports the first lowest value, at (1, 0)
+        options = [OptionSpec("a", (0, 1)), OptionSpec("b", (0, 1))]
+        land = Landscape(options, [3.0, 2.0, 1.0, 4.0], name="ties")
+        p_t = Proposition((Fragment("E", 1.0, 2.0, 1.0, 1.0),
+                           Fragment("S", 2.0, 4.0, 1.0, 0.0)))
+        params = TunerParams(population_size=4, budget=8)
+        assert cotune_run(land, p_t, params, seed=0).best_config == (0, 1)
+        r = ga_run(land, p_t, params, seed=0, objective="raw")
+        assert r.best_config == (1, 0)
         assert r.best_score == 1.0
 
     def test_unknown_objective(self):
