@@ -41,10 +41,10 @@ def silverman_bandwidth(sample) -> float:
     sigma = min(std, IQR / 1.34), floored so near-constant samples still
     yield a usable kernel.
     """
-    xs = sorted(float(x) for x in sample)
+    xs = sorted(map(float, sample))
     n = len(xs)
     mean = left_sum(xs) / n
-    std = math.sqrt(left_sum((x - mean) ** 2 for x in xs) / n)
+    std = math.sqrt(left_sum([(x - mean) ** 2 for x in xs]) / n)
     iqr = _quantile(xs, 0.75) - _quantile(xs, 0.25)
     sigma = min(std, iqr / 1.34) if iqr > 0 else std
     bw = 1.06 * sigma * n ** (-0.2)
@@ -69,9 +69,11 @@ def _grid(start: float, stop: float):
 
 
 def _pairwise_sum(rows):
-    """The elementwise sum of a 2-D array's rows, each column added in the
-    order in which numpy's pairwise summation adds a contiguous row: the
-    bits of np.ascontiguousarray(rows.T).sum(axis=1)."""
+    """The elementwise sum of a list of equal-length 1-D arrays, each
+    position added in the order in which numpy's pairwise summation adds a
+    contiguous row: the bits of np.ascontiguousarray(np.array(rows).T)
+    .sum(axis=1). The rows may be views of one array, and several may be
+    the same view; none is written to."""
     n = len(rows)
     if n < _UNROLL:
         # numpy starts from 0.0, and 0.0 + x is x for every x but -0.0,
@@ -84,11 +86,9 @@ def _pairwise_sum(rows):
         blocked = n - n % _UNROLL
         acc = rows[:_UNROLL]
         for at in range(_UNROLL, blocked, _UNROLL):
-            acc = acc + rows[at:at + _UNROLL]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        acc = acc[0::2] + acc[1::2]
-        acc = acc[0::2] + acc[1::2]
-        total = acc[0] + acc[1]
+            acc = [a + row for a, row in zip(acc, rows[at:at + _UNROLL])]
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
         for row in rows[blocked:]:
             total += row
         return total
@@ -97,19 +97,19 @@ def _pairwise_sum(rows):
     return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
 
 
-def _density(arr):
-    """(bandwidth, grid, density) of the Gaussian KDE of a float64 array on
-    GRID_POINTS points of [0 - 3bw, 1 + 3bw].
+def _density(sample):
+    """(bandwidth, grid, density) of the Gaussian KDE of a sequence of
+    floats on GRID_POINTS points of [0 - 3bw, 1 + 3bw].
 
     The kernel row over the grid is computed once per distinct score; the
-    members' rows are then added as ``np.subtract.outer(grid, arr)`` summed
-    over its members' axis would add them, so the density has the same bits.
+    members' rows (views of it, one per member in sample order) are then
+    added as ``np.subtract.outer(grid, sample)`` summed over its members'
+    axis would add them, so the density has the same bits.
     """
-    values = arr.tolist()  # Python floats iterate faster
-    bw = silverman_bandwidth(values)
+    bw = silverman_bandwidth(sample)
     grid = _grid(0.0 - 3.0 * bw, 1.0 + 3.0 * bw)
     row_of = {}
-    rows = [row_of.setdefault(v, len(row_of)) for v in values]
+    rows = [row_of.setdefault(v, len(row_of)) for v in sample]
     # u - g is -(g - u) exactly, and squaring drops the sign
     z = np.subtract.outer(np.fromiter(row_of, float, len(row_of)), grid)
     z /= bw
@@ -118,8 +118,8 @@ def _density(arr):
     z *= z
     z *= -0.5
     np.exp(z, out=z)
-    density = _pairwise_sum(z[rows])
-    density /= arr.size * bw * _SQRT_2PI
+    density = _pairwise_sum([z[row] for row in rows])
+    density /= len(rows) * bw * _SQRT_2PI
     return bw, grid, density
 
 
@@ -133,16 +133,18 @@ def differential_entropy(sample) -> float:
         raise EntropyError("empty sample")
     if max(sample) == min(sample):
         return MIN_ENTROPY
-    _, grid, beta = _density(np.asarray(sample, dtype=float))
+    _, grid, beta = _density(sample)
+    # beta log beta, negated once at the end: negation is exact
     if beta.min() > 0.0:
-        integrand = -beta * np.log(beta)
+        integrand = np.log(beta)
+        integrand *= beta
     else:
         # 0 * log 0 := 0
         positive = beta > 0.0
         integrand = np.where(
-            positive, -beta * np.log(np.where(positive, beta, 1.0)), 0.0)
+            positive, beta * np.log(np.where(positive, beta, 1.0)), 0.0)
     # np.trapezoid's own expression, without its argument handling
     area = grid[1:] - grid[:-1]
     area *= integrand[1:] + integrand[:-1]
     area /= 2.0
-    return float(area.sum())
+    return -float(area.sum())

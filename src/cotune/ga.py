@@ -8,11 +8,11 @@ random.Random instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     """An evaluated configuration; order is its measurement sequence number."""
 
     config: tuple
@@ -33,28 +33,26 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
-def tournament_select(members, rng: random.Random) -> Member:
-    """Binary tournament with replacement; ties resolved by a fair coin."""
-    if not members:
-        raise ValueError("empty population")
-    getrandbits, n = rng.getrandbits, len(members)
+# The operators' draws, on the rng's bound methods. make_offspring binds them
+# once per batch; the public operators bind them once per call.
+
+def _tournament(members, rand, getrandbits) -> Member:
+    n = len(members)
     a = members[_randbelow(getrandbits, n)]
     b = members[_randbelow(getrandbits, n)]
     if a.fitness > b.fitness:
         return a
     if b.fitness > a.fitness:
         return b
-    return a if rng.random() < 0.5 else b
+    return a if rand() < 0.5 else b
 
 
-def uniform_crossover(a, b, rate: float, rng: random.Random):
-    """With probability rate, swap each gene independently; else copy parents."""
+def _crossover(a: tuple, b: tuple, rate: float, rand) -> tuple:
     if len(a) != len(b):
         raise ValueError("parents come from different spaces")
-    if rng.random() >= rate:
-        return tuple(a), tuple(b)
+    if rand() >= rate:
+        return a, b
     c1, c2 = [], []
-    rand = rng.random
     for ga, gb in zip(a, b):
         if rand() < 0.5:
             c1.append(ga)
@@ -65,43 +63,75 @@ def uniform_crossover(a, b, rate: float, rng: random.Random):
     return tuple(c1), tuple(c2)
 
 
+def _mutable_genes(options) -> list:
+    """(index, domain size - 1) of each option with two or more values:
+    the gene and the number of values its reset draws from."""
+    genes = []
+    for i, opt in enumerate(options):
+        others = len(opt.domain) - 1
+        if others:
+            genes.append((i, others))
+    return genes
+
+
+def _mutate(config: tuple, genes, rate: float, rand, getrandbits) -> tuple:
+    """config itself when no gene is reset, else a new tuple."""
+    reset = None
+    for i, others in genes:
+        if rand() < rate:
+            pick = _randbelow(getrandbits, others)
+            if reset is None:
+                reset = list(config)
+            if pick >= reset[i]:
+                pick += 1
+            reset[i] = pick
+    return config if reset is None else tuple(reset)
+
+
+def tournament_select(members, rng: random.Random) -> Member:
+    """Binary tournament with replacement; ties resolved by a fair coin."""
+    if not members:
+        raise ValueError("empty population")
+    return _tournament(members, rng.random, rng.getrandbits)
+
+
+def uniform_crossover(a, b, rate: float, rng: random.Random):
+    """With probability rate, swap each gene independently; else copy parents."""
+    return _crossover(tuple(a), tuple(b), rate, rng.random)
+
+
 def mutate(config, rate: float, rng: random.Random, options) -> tuple:
     """Reset each gene, with probability rate, to a different domain value."""
-    genes = list(config)
-    rand, getrandbits = rng.random, rng.getrandbits
-    for i, opt in enumerate(options):
-        size = len(opt.domain)
-        if size < 2:
-            continue
-        if rand() < rate:
-            pick = _randbelow(getrandbits, size - 1)
-            if pick >= genes[i]:
-                pick += 1
-            genes[i] = pick
-    return tuple(genes)
+    return _mutate(tuple(config), _mutable_genes(options), rate, rng.random,
+                   rng.getrandbits)
 
 
 def make_offspring(members, options, params, rng: random.Random):
     """Produce population_size offspring via tournament/crossover/mutation.
 
     ``params`` is the run's ``tuners.TunerParams``; its population_size,
-    crossover_rate and mutation_rate apply.
+    crossover_rate and mutation_rate apply. Each pair of children draws as
+    two tournament_select calls, one uniform_crossover and two mutate calls.
 
     Offspring are deduplicated within the batch (revisiting history is fine,
     the measurement cache makes it free); if the space is too small to fill
     the batch with distinct children, duplicates are admitted as a fallback.
     """
+    if not members:
+        raise ValueError("empty population")
     n = params.population_size
+    crossover_rate, mutation_rate = params.crossover_rate, params.mutation_rate
+    rand, getrandbits = rng.random, rng.getrandbits
+    genes = _mutable_genes(options)
     offspring, seen = [], set()
     attempts = 0
     while len(offspring) < n:
-        p1 = tournament_select(members, rng)
-        p2 = tournament_select(members, rng)
-        c1, c2 = uniform_crossover(p1.config, p2.config, params.crossover_rate, rng)
-        for child in (
-            mutate(c1, params.mutation_rate, rng, options),
-            mutate(c2, params.mutation_rate, rng, options),
-        ):
+        p1 = _tournament(members, rand, getrandbits)
+        p2 = _tournament(members, rand, getrandbits)
+        c1, c2 = _crossover(p1.config, p2.config, crossover_rate, rand)
+        # both children are mutated before either is kept
+        for child in (_mutate(c1, genes, mutation_rate, rand, getrandbits),
+                      _mutate(c2, genes, mutation_rate, rand, getrandbits)):
             if len(offspring) >= n:
                 break
             if child in seen and attempts < 20 * n:
@@ -114,5 +144,7 @@ def make_offspring(members, options, params, rng: random.Random):
 
 def preserve_top(candidates, n: int):
     """Keep the n highest-fitness members; ties break by measurement order."""
-    ranked = sorted(candidates, key=lambda m: (-m.fitness, m.order))
+    # two stable sorts give the order of the key (-fitness, order)
+    ranked = sorted(candidates, key=attrgetter("order"))
+    ranked.sort(key=attrgetter("fitness"), reverse=True)
     return ranked[:n]

@@ -18,7 +18,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -242,9 +242,9 @@ def _write_trajectory(path: Path, result) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(tuners.TrajectoryRow))
+        writer.writerow(tuners.TrajectoryRow._fields)
         # csv writes str(x), which is repr(x) for an int or a float
-        writer.writerows(vars(row).values() for row in result.trajectory)
+        writer.writerows(result.trajectory)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -363,12 +363,50 @@ def run_experiment(config: ExperimentConfig):
     }
 
 
+def _variance_ratio(xs, ddof: int) -> tuple:
+    """(numerator, denominator) of the variance of the floats xs, exactly,
+    with n - ddof as its divisor. Each x is m / d with d a power of two, so
+    over the largest d, D, every X = x * D is an integer, and the squared
+    deviations from the mean sum to (n * sum(X**2) - sum(X)**2) / (n * D**2).
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(d for _, d in ratios)
+    ints = [m * (scale // d) for m, d in ratios]
+    n, total = len(ints), sum(ints)
+    return (n * sum([i * i for i in ints]) - total * total,
+            n * (n - ddof) * scale * scale)
+
+
+def _variance(xs) -> float:
+    """statistics.variance of floats: the exact sample variance, rounded
+    once (int / int is correctly rounded)."""
+    num, den = _variance_ratio(xs, 1)
+    return num / den
+
+
+def _stdev(xs, ddof: int = 1) -> float:
+    """statistics.stdev (ddof 1) or pstdev (ddof 0) of floats as Python
+    3.11 and later compute it, on every version: the square root of the
+    exact variance, rounded once. The integer square root of the variance
+    scaled to about 2**109 is rounded to odd, so that its one rounding to a
+    float is the correct rounding."""
+    num, den = _variance_ratio(xs, ddof)
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def cohens_d(a, b) -> float:
     """Effect size between two samples under a pooled standard deviation."""
     na, nb = len(a), len(b)
     mean_gap = abs(statistics.fmean(a) - statistics.fmean(b))
-    var_a = statistics.variance(a) if na > 1 else 0.0
-    var_b = statistics.variance(b) if nb > 1 else 0.0
+    var_a = _variance(a) if na > 1 else 0.0
+    var_b = _variance(b) if nb > 1 else 0.0
     denom = (na + nb - 2) or 1
     pooled = math.sqrt(((na - 1) * var_a + (nb - 1) * var_b) / denom)
     if pooled == 0.0:
@@ -458,7 +496,7 @@ def _kruskal_p(a, b) -> float:
 
 
 def _split_significant(a, b, test: str) -> bool:
-    if statistics.pstdev(a) == 0.0 and statistics.pstdev(b) == 0.0:
+    if _stdev(a, ddof=0) == 0.0 and _stdev(b, ddof=0) == 0.0:
         return statistics.fmean(a) != statistics.fmean(b)
     p = _kruskal_p(a, b) if test == "kruskal" else _welch_p(a, b)
     return p < ALPHA
@@ -517,7 +555,7 @@ def rank_cell(samples: dict, test: str = "welch") -> dict:
     tuners with fewer than two scores get rank None."""
     rank_of = ranks({t: s for t, s in samples.items() if len(s) >= 2},
                     test=test)
-    return {t: (statistics.fmean(s), statistics.pstdev(s), rank_of.get(t))
+    return {t: (statistics.fmean(s), _stdev(s, ddof=0), rank_of.get(t))
             for t, s in samples.items()}
 
 
@@ -611,7 +649,7 @@ def emit_trajectory_plots_data(result_dir):
             if min(values) == max(values):
                 half = 0.0  # the stdev of equal values is exactly 0.0
             else:
-                half = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+                half = 1.96 * _stdev(values) / math.sqrt(len(values))
             rows.append([tuner, budget, mean, mean - half, mean + half])
 
     with open(result_dir / "trajectories.csv", "w", newline="",

@@ -218,14 +218,24 @@ def satisfiability_fraction(landscape: Landscape, prop: Proposition) -> float:
 
 
 def _column(cells):
-    """(domain, values) of one option column: floats when every cell parses
-    as one, else the stripped text of every cell (a column that mixes
-    numbers and words reads "1" as "1", not 1.0)."""
+    """(domain, codes) of one option column: its sorted distinct values and
+    each cell's index into them. The values are floats when every cell
+    parses as one, else the stripped text of every cell (a column that mixes
+    numbers and words reads "1" as "1", not 1.0). Each distinct cell is
+    parsed once, so the "nan" cells of a column are one value; of equal
+    values (such as 0.0 and -0.0) the domain keeps the one that comes first
+    in the column. The values are sorted in order of first occurrence, so
+    that a NaN, which compares false with everything, always lands in the
+    same place."""
+    distinct = list(dict.fromkeys(cells))  # in order of first occurrence
     try:
-        values = list(map(float, cells))
+        values = list(map(float, distinct))
     except ValueError:
-        values = [c.strip() for c in cells]
-    return tuple(sorted(set(values))), values
+        values = [c.strip() for c in distinct]
+    domain = tuple(sorted(dict.fromkeys(values)))
+    index = {v: i for i, v in enumerate(domain)}
+    code_of = {c: index[v] for c, v in zip(distinct, values)}
+    return domain, list(map(code_of.__getitem__, cells))
 
 
 def _row_problem(path, records, width):
@@ -278,10 +288,9 @@ def load_csv(path, name=None) -> Landscape:
 
     options, columns = [], []  # columns[i][r]: row r's index into option i
     for title, cells in zip(header, option_cells):
-        domain, values = _column(cells)
+        domain, column = _column(cells)
         options.append(OptionSpec(title, domain))
-        index = {v: i for i, v in enumerate(domain)}
-        columns.append(list(map(index.__getitem__, values)))
+        columns.append(column)
     dtype = _code_dtype(math.prod(len(opt.domain) for opt in options))
     codes = 0  # codes[r]: the code of row r's configuration
     for column, opt in zip(columns, options):

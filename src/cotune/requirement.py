@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +24,30 @@ KINDS = ("G", "S", "E")
 # Slack for float comparisons in validation; boundary moves and score
 # rederivations otherwise trip spurious monotonicity violations.
 _EPS = 1e-9
+_SCORE_LO, _SCORE_HI = -_EPS, 1 + _EPS
 
 
 class PropositionError(ValueError):
     """Raised when constructing or loading an ill-formed proposition."""
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(namedtuple("Fragment", "kind v_lo v_hi s_lo s_hi")):
     """One piece of a requirement over the metric interval [v_lo, v_hi].
 
     kind "G": a greater value is preferred, score runs linearly s_lo -> s_hi.
     kind "S": a smaller value is preferred, same linear form.
     kind "E": every value in the interval is equally preferred at s_lo.
+
+    An immutable tuple of its five fields, in that order.
     """
 
-    kind: str
-    v_lo: float
-    v_hi: float
-    s_lo: float
-    s_hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise PropositionError(f"unknown fragment kind {self.kind!r}")
+    def __new__(cls, kind: str, v_lo: float, v_hi: float, s_lo: float,
+                s_hi: float):
+        if kind not in KINDS:
+            raise PropositionError(f"unknown fragment kind {kind!r}")
+        return tuple.__new__(cls, (kind, v_lo, v_hi, s_lo, s_hi))
 
     def score(self, v: float) -> float:
         """Membership value at a finite v; v is assumed inside [v_lo, v_hi]."""
@@ -58,11 +58,11 @@ class Fragment:
         """(slope, intercept) of the membership function: slope 0 at s_lo
         for an E fragment; through the end scores for a G or S fragment,
         which raises ZeroDivisionError if it has zero width."""
-        if self.kind == "E":
-            return 0.0, self.s_lo
-        dv = self.v_lo - self.v_hi
-        return ((self.s_lo - self.s_hi) / dv,
-                (self.s_hi * self.v_lo - self.s_lo * self.v_hi) / dv)
+        kind, v_lo, v_hi, s_lo, s_hi = self
+        if kind == "E":
+            return 0.0, s_lo
+        dv = v_lo - v_hi
+        return (s_lo - s_hi) / dv, (s_hi * v_lo - s_lo * v_hi) / dv
 
     def area(self) -> float:
         """Exact area under the membership function over [v_lo, v_hi]."""
@@ -70,6 +70,24 @@ class Fragment:
         if self.kind == "E":
             return self.s_lo * width
         return 0.5 * (self.s_lo + self.s_hi) * width
+
+
+class _built_once:
+    """A lazily computed attribute, like functools.cached_property: the
+    first read stores the value in the instance dict, where every later read
+    finds it before this non-data descriptor. Unlike cached_property on
+    Python 3.11, it takes no lock shared by every instance; two threads that
+    both read first both compute the value, and the later write wins."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -88,7 +106,7 @@ class Proposition:
             raise PropositionError("proposition needs at least one fragment")
         object.__setattr__(self, "fragments", tuple(self.fragments))
 
-    @cached_property
+    @_built_once
     def _scoring(self) -> tuple:
         """(v_min, v_max, right edges, lines), computed on first scoring.
 
@@ -97,10 +115,10 @@ class Proposition:
         divides by zero as it always has, and validate reports it. A
         proposition that is only validated or encoded never builds these.
         """
-        lines = tuple(None if f.kind != "E" and f.v_lo == f.v_hi else f.line()
-                      for f in self.fragments)
-        bounds = tuple(f.v_hi for f in self.fragments)
-        return self.v_min, self.v_max, bounds, lines
+        frags = self.fragments
+        lines = [None if f.kind != "E" and f.v_lo == f.v_hi else f.line()
+                 for f in frags]
+        return frags[0].v_lo, frags[-1].v_hi, [f.v_hi for f in frags], lines
 
     @property
     def v_min(self) -> float:
@@ -166,7 +184,7 @@ class Proposition:
 
     def to_json(self) -> dict:
         return {"v_min": self.v_min, "v_max": self.v_max,
-                "fragments": [asdict(f) for f in self.fragments]}
+                "fragments": [f._asdict() for f in self.fragments]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Proposition":
@@ -198,23 +216,25 @@ def validate(prop: Proposition) -> list[str]:
     Never raises: an empty list means the proposition is well formed and its
     satisfaction function is non-increasing (minimization convention).
     """
-    violations = []
-    frags = prop.fragments
-    for i, f in enumerate(frags):
-        if f.v_lo >= f.v_hi:
+    # one pass: each fragment's own violations, then those of each boundary
+    violations, joins = [], []
+    prev_v_hi = prev_s_hi = None
+    for i, (kind, v_lo, v_hi, s_lo, s_hi) in enumerate(prop.fragments):
+        if v_lo >= v_hi:
             violations.append(f"fragment {i}: zero-width interval")
-        for s in (f.s_lo, f.s_hi):
-            if not -_EPS <= s <= 1 + _EPS:
-                violations.append(f"fragment {i}: score {s} out of range")
-        if f.kind == "E" and f.s_lo != f.s_hi:
+        if not _SCORE_LO <= s_lo <= _SCORE_HI:
+            violations.append(f"fragment {i}: score {s_lo} out of range")
+        if not _SCORE_LO <= s_hi <= _SCORE_HI:
+            violations.append(f"fragment {i}: score {s_hi} out of range")
+        if kind == "E" and s_lo != s_hi:
             violations.append(f"fragment {i}: E fragment with unequal scores")
-        if f.s_lo < f.s_hi - _EPS:
+        if s_lo < s_hi - _EPS:
             violations.append(f"fragment {i}: non-monotone (score rises with v)")
-    for i, (prev, cur) in enumerate(zip(frags, frags[1:])):
-        if abs(prev.v_hi - cur.v_lo) > _EPS:
-            violations.append(f"tiling gap at fragment {i + 1} ({cur.v_lo})")
-        if cur.s_lo > prev.s_hi + _EPS:
-            violations.append(
-                f"fragment {i + 1}: non-monotone (score jumps up at boundary)"
-            )
-    return violations
+        if i:
+            if abs(prev_v_hi - v_lo) > _EPS:
+                joins.append(f"tiling gap at fragment {i} ({v_lo})")
+            if s_lo > prev_s_hi + _EPS:
+                joins.append(
+                    f"fragment {i}: non-monotone (score jumps up at boundary)")
+        prev_v_hi, prev_s_hi = v_hi, s_hi
+    return violations + joins

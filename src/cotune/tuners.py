@@ -15,6 +15,7 @@ import functools
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from typing import NamedTuple
 
 from . import reqevolve
 from ._sums import left_sum
@@ -62,8 +63,9 @@ class TunerParams:
             raise ValueError("population_size must be at least 2")
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
+    """One row of a run's trajectory, in the trajectory CSV's column order."""
+
     iteration: int
     budget_used: int
     best_pt_score: float

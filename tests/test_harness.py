@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,8 @@ from cotune.harness import (
     TunerSpec,
     _betainc,
     _kruskal_p,
+    _stdev,
+    _variance,
     _welch_p,
     cohens_d,
     emit_trajectory_plots_data,
@@ -1158,3 +1161,53 @@ class TestCli:
             "repeats": 2,
         }))
         assert cli_main(["run", "--config", str(config_path)]) == 2
+
+
+class TestSpreadStatistics:
+    """harness's variance, stdev and pstdev: exact, and rounded once, on
+    every Python version."""
+
+    @staticmethod
+    def samples(count=3000):
+        rng = random.Random(11)
+        for i in range(count):
+            n = rng.choice((1, 2, 3, 5, 10, 30))
+            base = rng.random()
+            yield [(rng.random(),  # spread
+                    rng.choice((0.0, -0.0, 0.5, 1.0)),  # ties and zeros
+                    rng.random() * 1e-300,  # tiny
+                    rng.uniform(-1e10, 1e10),  # wide
+                    base + rng.choice((0.0, 1e-16, 5e-324)),  # near-constant
+                    )[i % 5] for _ in range(n)]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics rounds stdev twice before 3.11")
+    def test_equal_statistics(self):
+        for xs in self.samples():
+            assert _stdev(xs, ddof=0) == statistics.pstdev(xs), xs
+            if len(xs) > 1:
+                assert _stdev(xs) == statistics.stdev(xs), xs
+                assert _variance(xs) == statistics.variance(xs), xs
+
+    @staticmethod
+    def exact_variance(xs, ddof):
+        values = [Fraction(x) for x in xs]
+        mean = sum(values) / len(values)
+        return sum((v - mean) ** 2 for v in values) / (len(values) - ddof)
+
+    def test_equal_an_exact_reference(self):
+        for xs in self.samples(1000):
+            for ddof in (0, 1):
+                if len(xs) <= ddof:
+                    continue
+                exact = self.exact_variance(xs, ddof)
+                if ddof:
+                    assert _variance(xs) == float(exact), xs
+                root = _stdev(xs, ddof=ddof)
+                # the float nearest the exact root: its square lies between
+                # the squares of the midpoints to its neighbours
+                below = (Fraction(root)
+                         + Fraction(math.nextafter(root, -math.inf))) / 2
+                above = (Fraction(root)
+                         + Fraction(math.nextafter(root, math.inf))) / 2
+                assert max(below, 0) ** 2 <= exact <= above ** 2, xs

@@ -199,6 +199,33 @@ class TestCsv:
         with pytest.raises(LandscapeError, match="row 3: non-finite"):
             load_csv(path)
 
+    def test_spellings_of_one_number_are_one_value(self, tmp_path):
+        path = tmp_path / "ones.csv"
+        path.write_text("a,b,perf\n1,0,1.0\n1.0,1,2.0\n 1,2,3.0\n")
+        land = load_csv(path)
+        assert land.options[0].domain == (1.0,)
+        assert land.options[1].domain == (0.0, 1.0, 2.0)
+        assert land.measurements == {(0, 0): 1.0, (0, 1): 2.0, (0, 2): 3.0}
+
+    @pytest.mark.parametrize("first, second", [("-0", "0"), ("0", "-0.0")])
+    def test_equal_values_keep_the_first_spelling(self, tmp_path, first,
+                                                  second):
+        path = tmp_path / "zeros.csv"
+        path.write_text(f"a,b,perf\n{first},0,1.0\n{second},1,2.0\n")
+        (zero,) = load_csv(path).options[0].domain
+        assert repr(zero) == repr(float(first))
+
+    def test_nan_cells_of_one_spelling_are_one_value(self, tmp_path):
+        # a NaN compares false with everything, so it stays where it first
+        # occurs; its hash is its id, so a set would place it at random
+        path = tmp_path / "nan_option.csv"
+        path.write_text("a,b,perf\nnan,0,1.0\nnan,1,2.0\n1,0,3.0\n")
+        for _ in range(20):
+            land = load_csv(path)
+            assert repr(land.options[0].domain) == "(nan, 1.0)"
+            assert land.measurements == {(0, 0): 1.0, (0, 1): 2.0,
+                                         (1, 0): 3.0}
+
 
 class TestSynth:
     def test_deterministic(self):
