@@ -10,6 +10,8 @@ Three situations trigger a change, with decreasing commonality:
 * Case 2: the best configuration on the target has stagnated -> random-search
   for a mutant proposition with strictly lower score entropy.
 
+``fire_case`` runs the case ``detect_case`` picked and reports it as an event.
+
 Each case function returns its proposition's scores of the given values with
 it, and computes entropy with its ``entropy`` keyword, ``differential_entropy``
 by default (a tuner run passes one that memoizes every score sample for the
@@ -282,3 +284,49 @@ def escape_case2(p_a: Proposition, perf_values, pool_target: int,
             return EvolutionOutcome(*tied[0], by_entropy=True)
     return EvolutionOutcome(*tied[max(0, len(tied) - pool_target)],
                             by_entropy=False)
+
+
+def fire_case(case, p_a: Proposition, pop_a, pool_target: int,
+              rng: random.Random, entropy):
+    """Run one firing case on p_a and pop_a, whose fitness holds p_a's scores.
+
+    Returns (proposition, scores, event): the proposition the run keeps, its
+    scores of pop_a when it replaces p_a (else None) and the firing's event
+    without its iteration. Case 2 is skipped when pop_a's fitness is flat, as
+    the escape could only run to its cap, and its result is rejected when it
+    scores pop_a flat; either keeps p_a, flagged with a reason.
+    """
+    perfs = [m.perf for m in pop_a]
+    old_entropy = entropy(tuple(m.fitness for m in pop_a))
+    outcome = reason = None
+    try:
+        if case == CASE0:
+            outcome = relax_case0(p_a, perfs, rng, entropy=entropy)
+        elif case == CASE1:
+            outcome = tighten_case1(p_a, perfs, rng, entropy=entropy)
+        elif len({m.fitness for m in pop_a}) == 1:
+            reason = "p_a scores pop_a with zero variance; escape skipped"
+        else:
+            outcome = escape_case2(p_a, perfs, pool_target, rng,
+                                   entropy=entropy)
+            if max(outcome.scores) == min(outcome.scores):
+                reason = (f"escape result {outcome.proposition.encode()}"
+                          " scores pop_a with zero variance; rejected")
+    except RequirementEvolutionError as exc:
+        return p_a, None, {"case": case, "error": str(exc)}
+    adopted = reason is None and outcome.proposition != p_a
+    new = outcome.proposition if adopted else p_a
+    scores = outcome.scores if adopted else None
+    event = {
+        "case": case,
+        "flagged": reason is not None or not outcome.by_entropy,
+        "old_encoding": p_a.encode(),
+        "new_encoding": new.encode(),
+        "old_integral": p_a.integral(),
+        "new_integral": new.integral(),
+        "old_entropy": old_entropy,
+        "new_entropy": entropy(scores) if adopted else old_entropy,
+    }
+    if reason is not None:
+        event["reason"] = reason
+    return new, scores, event

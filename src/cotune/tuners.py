@@ -21,7 +21,7 @@ from . import reqevolve
 from ._sums import left_sum
 from .entropy import differential_entropy
 from .ga import Member, make_offspring, preserve_top
-from .landscape import BudgetExhausted, BudgetMeter, Landscape, measure
+from .landscape import BudgetMeter, Landscape, measure
 from .requirement import Proposition
 
 
@@ -104,40 +104,36 @@ def _mean(xs):
     return left_sum(xs) / len(xs)
 
 
-def _sample_distinct_configs(landscape, n, rng):
-    configs, seen = [], set()
-    attempts = 0
-    limit = min(n, landscape.space_size)
-    while len(configs) < limit and attempts < 1000 * n:
-        c = landscape.random_config(rng)
-        if c not in seen:
-            seen.add(c)
-            configs.append(c)
-        attempts += 1
-    while len(configs) < n:  # tiny spaces: pad with repeats, cache makes it free
-        configs.append(landscape.random_config(rng))
-    return configs
+def _distinct_configs(landscape, rng, give_up):
+    """Random configurations, each one new to the run, until the draw count
+    reaches give_up; from then on every draw as it comes. Ends once the
+    whole space has been yielded."""
+    seen = set()
+    draws = 0
+    while len(seen) < landscape.space_size:
+        config = landscape.random_config(rng)
+        draws += 1
+        if config not in seen or draws >= give_up:
+            seen.add(config)
+            yield config
 
 
-def _initial_sample(landscape, params, seed, meter=None):
+def _initial_sample(landscape, params, seed, meter):
     """(rng, meter, [(config, perf)]) of a run's measured initial sample."""
     if params.budget < 2 * params.population_size:
         raise ValueError("budget is smaller than the initialization cost")
     rng = random.Random(seed)
     meter = meter or BudgetMeter(params.budget)
-    configs = _sample_distinct_configs(landscape, params.population_size, rng)
+    n = params.population_size
+    configs = list(islice(_distinct_configs(landscape, rng, 1000 * n + 1), n))
+    # a space smaller than n: pad with repeats, which the cache makes free
+    configs += [landscape.random_config(rng) for _ in range(n - len(configs))]
     return rng, meter, [(c, measure(landscape, meter, c)) for c in configs]
 
 
-def _measure_until_exhausted(landscape, meter, configs):
-    """(config, perf) pairs in order, up to the first the budget refuses."""
-    measured = []
-    for config in configs:
-        try:
-            measured.append((config, measure(landscape, meter, config)))
-        except BudgetExhausted:
-            break
-    return measured
+def _measure_batch(landscape, meter, configs):
+    """(config, perf) pairs in order; the loop leaves room for every one."""
+    return [(c, measure(landscape, meter, c)) for c in configs]
 
 
 def _evolve(landscape, p_t, params, seed, label, meter=None, raw=False):
@@ -188,18 +184,14 @@ def _evolve(landscape, p_t, params, seed, label, meter=None, raw=False):
     # rows score many of the same samples (tuples); each is scored once per
     # run, through this module's differential_entropy as it is at run start
     entropy = functools.cache(differential_entropy)
-
-    def entropy_pa():
-        return entropy(tuple(m.fitness for m in pop_a))
-
     stagnation = 0
     pa_changed_last = False
 
     def record(iteration, guiding, case, theta):
         result.trajectory.append(TrajectoryRow(
             iteration, meter.consumed, result.best_score,
-            guiding, case or "", theta, 0.0 if raw else entropy_pa(),
-        ))
+            guiding, case or "", theta,
+            0.0 if raw else entropy(tuple(m.fitness for m in pop_a))))
 
     adopt_fittest()
     record(0, "raw" if raw else "", "", 0.0)
@@ -224,7 +216,7 @@ def _evolve(landscape, p_t, params, seed, label, meter=None, raw=False):
 
         # (b) evolve new configurations under the chosen population
         offspring = make_offspring(source, landscape.options, params, rng)
-        newcomers = _measure_until_exhausted(landscape, meter, offspring)
+        newcomers = _measure_batch(landscape, meter, offspring)
         score_measured()
 
         # (c) elitist preservation of each population
@@ -244,51 +236,13 @@ def _evolve(landscape, p_t, params, seed, label, meter=None, raw=False):
             enable=(params.enable_case0, params.enable_case1, params.enable_case2),
         )
         if case is not None:
-            perfs_a = [m.perf for m in pop_a]
-            old_p_a = p_a
-            old_entropy = entropy_pa()
-            outcome = reason = None  # a reason keeps p_a, flagged
-            try:
-                if case == reqevolve.CASE0:
-                    outcome = reqevolve.relax_case0(
-                        p_a, perfs_a, rng, entropy=entropy)
-                elif case == reqevolve.CASE1:
-                    outcome = reqevolve.tighten_case1(
-                        p_a, perfs_a, rng, entropy=entropy)
-                elif len({m.fitness for m in pop_a}) == 1:
-                    # p_a (whose scores pop_a's fitness holds) is at the
-                    # sentinel: the escape could only run to its cap
-                    reason = "p_a scores pop_a with zero variance; escape skipped"
-                else:
-                    outcome = reqevolve.escape_case2(
-                        p_a, perfs_a, n, rng, entropy=entropy)
-                    # a result that scores pop_a flat discriminates nothing
-                    if max(outcome.scores) == min(outcome.scores):
-                        reason = (f"escape result {outcome.proposition.encode()}"
-                                  " scores pop_a with zero variance; rejected")
-            except reqevolve.RequirementEvolutionError as exc:
-                result.events.append({
-                    "iteration": iteration, "case": case, "error": str(exc)})
-            else:
-                if reason is None and outcome.proposition != p_a:
-                    p_a = outcome.proposition
-                    pop_a = [Member(m.config, m.perf, f, m.order)
-                             for m, f in zip(pop_a, outcome.scores)]
-                    pa_changed_last = True
-                event = {
-                    "iteration": iteration,
-                    "case": case,
-                    "flagged": reason is not None or not outcome.by_entropy,
-                    "old_encoding": old_p_a.encode(),
-                    "new_encoding": p_a.encode(),
-                    "old_integral": old_p_a.integral(),
-                    "new_integral": p_a.integral(),
-                    "old_entropy": old_entropy,
-                    "new_entropy": entropy_pa(),
-                }
-                if reason is not None:
-                    event["reason"] = reason
-                result.events.append(event)
+            p_a, scores, event = reqevolve.fire_case(
+                case, p_a, pop_a, n, rng, entropy)
+            result.events.append({"iteration": iteration, **event})
+            if scores is not None:
+                pop_a = [Member(m.config, m.perf, f, m.order)
+                         for m, f in zip(pop_a, scores)]
+                pa_changed_last = True
 
         # (e) best-on-target tracking and stagnation accounting
         if adopt_fittest():
@@ -308,8 +262,12 @@ def cotune_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     """Co-evolutionary tuning of configurations and an auxiliary proposition.
 
     Deterministic for a fixed seed. Disabling all three cases turns this into
-    the plain requirement-guided GA (identical trace for the same seed).
+    the plain requirement-guided GA (identical trace for the same seed). A
+    given meter records the run's measurements; it must be fresh, with a cap
+    of ``params.budget``.
     """
+    if meter and (meter.consumed or meter.cache or meter.cap != params.budget):
+        raise ValueError("meter must be unused, with a cap of params.budget")
     return _evolve(landscape, p_t, params, seed, label, meter)
 
 
@@ -338,22 +296,15 @@ def random_run(landscape: Landscape, p_t: Proposition, params: TunerParams,
     rng = random.Random(seed)
     meter = BudgetMeter(params.budget)
     result = TunerResult(label, None, float("-inf"))
-    seen = set()
-    attempts = 0
-    while not meter.exhausted and len(seen) < landscape.space_size:
-        config = landscape.random_config(rng)
-        attempts += 1
-        if config in seen and attempts < 10000 * meter.cap:
-            continue
-        seen.add(config)
-        perf = measure(landscape, meter, config)
-        score = p_t.evaluate(perf)
+    for config in _distinct_configs(landscape, rng, 10000 * params.budget):
+        score = p_t.evaluate(measure(landscape, meter, config))
         if score > result.best_score:
             result.best_config, result.best_score = config, score
         result.trajectory.append(TrajectoryRow(
             meter.consumed, meter.consumed, result.best_score,
             "random", "", 0.0, 0.0))
-        if params.early_stop and result.best_score == 1.0:
+        if meter.exhausted or (params.early_stop
+                               and result.best_score == 1.0):
             break
     result.budget_consumed = meter.consumed
     return result

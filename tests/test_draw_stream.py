@@ -12,15 +12,17 @@ import random
 import numpy as np
 import pytest
 
-from cotune import reqevolve
+from cotune import reqevolve, tuners
 from cotune.ga import Member, _randbelow, make_offspring
-from cotune.landscape import Landscape, OptionSpec
+from cotune.landscape import BudgetMeter, Landscape, OptionSpec, measure
 from cotune.requirement import Fragment, Proposition, validate
-from cotune.tuners import TunerParams
+from cotune.tuners import TrajectoryRow, TunerParams, TunerResult
 
 DOMAIN_SIZES = (1, 2, 3, 4, 5, 8, 9)
 POPULATION_SIZES = (2, 3, 10, 17)
 MUTATION_RATES = (0, 0.1, 1)
+# option sizes of spaces of 1, 3, 8, 64 and 4,096 configurations
+SAMPLED_SPACES = ((1,), (3,), (2, 2, 2), (4, 4, 4), (2,) * 12)
 
 
 # -- the replaced code, verbatim ---------------------------------------------
@@ -88,6 +90,48 @@ def ref_make_offspring(members, options, params, rng):
             offspring.append(child)
         attempts += 1
     return offspring
+
+
+def ref_sample_distinct_configs(landscape, n, rng):
+    configs, seen = [], set()
+    attempts = 0
+    limit = min(n, landscape.space_size)
+    while len(configs) < limit and attempts < 1000 * n:
+        c = landscape.random_config(rng)
+        if c not in seen:
+            seen.add(c)
+            configs.append(c)
+        attempts += 1
+    while len(configs) < n:  # tiny spaces: pad with repeats, cache makes it free
+        configs.append(landscape.random_config(rng))
+    return configs
+
+
+def ref_random_run(landscape, p_t, params, seed, label="Random"):
+    if params.budget < 1:
+        raise ValueError("budget must be positive")
+    rng = random.Random(seed)
+    meter = BudgetMeter(params.budget)
+    result = TunerResult(label, None, float("-inf"))
+    seen = set()
+    attempts = 0
+    while not meter.exhausted and len(seen) < landscape.space_size:
+        config = landscape.random_config(rng)
+        attempts += 1
+        if config in seen and attempts < 10000 * meter.cap:
+            continue
+        seen.add(config)
+        perf = measure(landscape, meter, config)
+        score = p_t.evaluate(perf)
+        if score > result.best_score:
+            result.best_config, result.best_score = config, score
+        result.trajectory.append(TrajectoryRow(
+            meter.consumed, meter.consumed, result.best_score,
+            "random", "", 0.0, 0.0))
+        if params.early_stop and result.best_score == 1.0:
+            break
+    result.budget_consumed = meter.consumed
+    return result
 
 
 def ref_random_config(sizes, rng):
@@ -232,6 +276,42 @@ def test_make_offspring_draws_as_before(count, rate):
                 lambda rng: [ref_make_offspring(members, options, params, rng)
                              for _ in range(5)])
             assert ours == ref, (sizes, crossover_rate)
+
+
+def sampled_landscape(sizes):
+    # distinct values in a shuffled order, so the best moves during a run
+    size = math.prod(sizes)
+    values = random.Random(size).sample(range(size), size)
+    return Landscape(options_of(sizes), np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("n", (2, 10, 17))
+@pytest.mark.parametrize("sizes", SAMPLED_SPACES, ids=math.prod)
+def test_initial_sample_draws_as_before(sizes, n):
+    land = sampled_landscape(sizes)
+    params = TunerParams(population_size=n)
+    for seed in range(10):
+        rng, _, sample = tuners._initial_sample(
+            land, params, seed, BudgetMeter(params.budget))
+        ref_rng = random.Random(seed)
+        ref = ref_sample_distinct_configs(land, n, ref_rng)
+        assert [c for c, _ in sample] == ref, seed
+        assert rng.getstate() == ref_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("sizes", SAMPLED_SPACES, ids=math.prod)
+def test_random_run_draws_as_before(sizes):
+    land = sampled_landscape(sizes)
+    # scores 1 only at the lowest value, so early stopping ends some runs
+    top = float(math.prod(sizes))
+    p_t = Proposition((Fragment("S", 0.0, top, 1.0, 0.0),))
+    for budget in (1, 20, 300):
+        for early_stop in (False, True):
+            params = TunerParams(budget=budget, early_stop=early_stop)
+            for seed in range(5):
+                ours = tuners.random_run(land, p_t, params, seed)
+                ref = ref_random_run(land, p_t, params, seed)
+                assert ours == ref, (budget, early_stop, seed)
 
 
 def test_random_config_draws_as_before():

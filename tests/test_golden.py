@@ -23,6 +23,12 @@ draws the call took. The performance values of a call come from a band at
 the end of the range its case moves away from: a narrow band scores flat, a
 wide one spread, so the entries cover adoption on entropy, pinning at the
 bound (with and without absorbed fragments) and the error paths.
+
+The events digest pins every event of the CoTune tuner cells, in run order,
+each hashed as ``repr(list(event.items()))`` so that its key order counts
+too. It was recorded before case firing moved from the tuner loop into
+``reqevolve``. The benchmark's tracer counts each case's outcomes from these
+events.
 """
 
 import functools
@@ -106,6 +112,9 @@ GOLDEN_REQUIREMENTS = (
 GOLDEN_EDGE_SHIFTS = (
     "a41c428a2d03a76164f2ec7a0a5561fd3751974ad9c871c9f1bd43c19a78e64b")
 
+GOLDEN_EVENTS = (
+    "320c7b5aa32eac8f2c8d0c2a67b471a79693dcfd1e1ca953ee00e2d3cff3901d")
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -151,6 +160,30 @@ def test_tuner_trajectories_match_golden(targets, cell):
     digest = sha256("\n".join(
         f"{fingerprint(r)} {r.best_config!r}" for r in runs))
     assert digest == GOLDEN_RUNS[cell]
+
+
+def outcome(event):
+    """An event's case and outcome, as the benchmark's tracer names them."""
+    if "error" in event:
+        kind = "error"
+    elif "reason" in event:
+        kind = "skipped" if "skipped" in event["reason"] else "rejected"
+    elif not event["flagged"]:
+        kind = "adopted"
+    else:
+        kind = "capped" if event["case"] == "case2" else "pinned"
+    return f"{event['case']}.{kind}"
+
+
+def test_cotune_events_match_golden(targets):
+    events = [event for land, prop in targets.values()
+              for seed in SEEDS
+              for event in run_tuner("CoTune", land, prop, seed).events]
+    assert len(events) == 428
+    assert {"case0.adopted", "case1.adopted", "case1.pinned", "case2.adopted",
+            "case2.rejected", "case2.skipped"} <= set(map(outcome, events))
+    assert sha256("\n".join(
+        repr(list(event.items())) for event in events)) == GOLDEN_EVENTS
 
 
 def compensated_sum(iterable, start=0):

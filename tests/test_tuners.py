@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cotune import entropy as entropy_mod
 from cotune import reqevolve, tuners
 from cotune.entropy import MIN_ENTROPY, differential_entropy
-from cotune.landscape import BudgetMeter, Landscape, OptionSpec, synth
+from cotune.landscape import BudgetMeter, Landscape, OptionSpec, measure, synth
 from cotune.reqgen import GenSpec, generate_target
 from cotune.requirement import Fragment, Proposition
 from cotune.tuners import (
@@ -111,6 +111,21 @@ class TestCotuneRun:
             cotune_run(land, strict_proposition(land),
                        TunerParams(budget=15), seed=0)
 
+    def test_only_a_fresh_meter_of_the_budget_is_accepted(self):
+        # the meter is the run's one budget: one with another cap, or one
+        # that has measured already, would disagree with params.budget
+        land = small_landscape()
+        p_t = strict_proposition(land)
+        params = TunerParams(budget=60)
+        used = BudgetMeter(60)
+        measure(land, used, land.random_config(random.Random(0)))
+        for meter in (BudgetMeter(61), BudgetMeter(59), used):
+            with pytest.raises(ValueError, match="meter"):
+                cotune_run(land, p_t, params, seed=0, meter=meter)
+        fresh = BudgetMeter(60)
+        r = cotune_run(land, p_t, params, seed=0, meter=fresh)
+        assert fresh.consumed == r.budget_consumed > 0
+
     def test_best_is_the_first_best_of_the_history(self):
         # about 6 of the 64 configurations tie at score 1; the reported best
         # is the earliest measured of the best, and every trajectory row
@@ -204,7 +219,7 @@ class TestStagnationEscape:
         evaluations = 0
         real_evaluate = Proposition.evaluate
         real_escape = reqevolve.escape_case2
-        real_measure = tuners._measure_until_exhausted
+        real_measure = tuners._measure_batch
         # per iteration: the count when it measures, and that count plus
         # its newcomers' scores
         starts, owed = [], []
@@ -229,7 +244,7 @@ class TestStagnationEscape:
 
         monkeypatch.setattr(Proposition, "evaluate", counted)
         monkeypatch.setattr(reqevolve, "escape_case2", escape_spy)
-        monkeypatch.setattr(tuners, "_measure_until_exhausted", measure_spy)
+        monkeypatch.setattr(tuners, "_measure_batch", measure_spy)
         land, p_t, params = cls.strict_setup()
         runs = []
         for seed in cls.SEEDS:
@@ -326,7 +341,7 @@ class TestScoringOnce:
         params = TunerParams(early_stop=False, enable_case0=False,
                              enable_case1=False, enable_case2=False)
         real_evaluate = Proposition.evaluate
-        real_measure = tuners._measure_until_exhausted
+        real_measure = tuners._measure_batch
         evaluated, newcomers = [], []
 
         def evaluate(self, v):
@@ -339,7 +354,7 @@ class TestScoringOnce:
             return measured
 
         monkeypatch.setattr(Proposition, "evaluate", evaluate)
-        monkeypatch.setattr(tuners, "_measure_until_exhausted", measure_spy)
+        monkeypatch.setattr(tuners, "_measure_batch", measure_spy)
         for seed in (0, 1):
             evaluated.clear()
             newcomers.clear()
